@@ -7,7 +7,7 @@ independently replayable proof objects, and compares factual against
 counterfactual output probabilities.
 """
 
-from .closure import check_acyclic, descendants, intervene_graph, mediate_closure
+from .closure import descendants, intervene_graph, mediate_closure
 from .engine import (
     CandidateFailure,
     CandidateRejected,
@@ -49,6 +49,7 @@ from .model import (
     InvalidModel,
     Judgment,
     Sum,
+    UnknownVariable,
     value_matches,
     variables_of,
 )

@@ -18,7 +18,6 @@ from . import dsl
 from .closure import mediate_closure, descendants
 from .engine import (
     CandidateRejected,
-    Case,
     ConsistencyError,
     check_case,
     derive_counterfactual,
@@ -44,6 +43,23 @@ class ConfigError(Exception):
     pass
 
 
+# Every error a command reports: (exception types, exit code, message prefix).
+_ERRORS = (
+    ((dsl.ParseError, dsl.ProofFormatError), EXIT_CONFIG, "parse error: "),
+    ((InvalidModel, ConsistencyError, ConfigError), EXIT_CONFIG, ""),
+    ((CandidateRejected,), EXIT_NOT_COUNTERFACTUAL, ""),
+    ((OracleError,), EXIT_ORACLE, "oracle error: "),
+)
+_HANDLED = tuple(t for types, _, _ in _ERRORS for t in types)
+
+
+def _report(e: Exception, head: str = "") -> int:
+    """Print a handled error on stderr and return its exit code."""
+    code, prefix = next((code, prefix) for types, code, prefix in _ERRORS if isinstance(e, types))
+    print(f"{head}{prefix}{e}", file=sys.stderr)
+    return code
+
+
 def load_oracle(spec: str) -> ClassifierOracle:
     """`csv:PATH`, `db:PATH`, or `cmd:PROGRAM ARGS`."""
     kind, sep, rest = spec.partition(":")
@@ -59,7 +75,9 @@ def load_oracle(spec: str) -> ClassifierOracle:
             return ExternalCommandOracle(shlex.split(rest))
     except OSError as e:
         raise ConfigError(f"cannot load oracle: {e}")
-    except (dsl.ParseError, OracleError) as e:
+    except dsl.ParseError as e:
+        raise ConfigError(f"cannot load oracle {spec!r}: parse error: {e}")
+    except OracleError as e:
         raise ConfigError(f"cannot load oracle {spec!r}: {e}")
     raise ConfigError(f"unknown oracle kind: {kind!r}")
 
@@ -72,15 +90,11 @@ def _read(path: str) -> str:
         raise ConfigError(str(e))
 
 
-def _load_case(path: str) -> Case:
-    return dsl.parse_case(_read(path))
-
-
 def _epsilon(text: str) -> Fraction:
     try:
         return dsl.parse_probability_literal(text)
     except dsl.ParseError as e:
-        raise ConfigError(f"bad epsilon: {e}")
+        raise ConfigError(f"bad epsilon: parse error: {e}")
 
 
 def _verdict_report(verdict, fmt: str, prefix: str = "") -> str:
@@ -112,19 +126,9 @@ def _verdict_report(verdict, fmt: str, prefix: str = "") -> str:
 
 def _check_one(path: str, oracle, epsilon, strict, fmt, prefix="") -> int:
     try:
-        verdict = check_case(_load_case(path), oracle, epsilon, strict)
-    except dsl.ParseError as e:
-        print(f"{prefix}{path}: parse error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InvalidModel, ConsistencyError) as e:
-        print(f"{prefix}{path}: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CandidateRejected as e:
-        print(f"{prefix}{path}: {e}", file=sys.stderr)
-        return EXIT_NOT_COUNTERFACTUAL
-    except OracleError as e:
-        print(f"{prefix}{path}: oracle error: {e}", file=sys.stderr)
-        return EXIT_ORACLE
+        verdict = check_case(dsl.parse_case(_read(path)), oracle, epsilon, strict)
+    except _HANDLED as e:
+        return _report(e, f"{prefix}{path}: ")
     print(_verdict_report(verdict, fmt, prefix))
     return EXIT_FAIR if verdict.fair else EXIT_UNFAIR
 
@@ -149,43 +153,22 @@ def cmd_check(args) -> int:
 
 def cmd_derive(args) -> int:
     oracle = load_oracle(args.oracle)
-    try:
-        case = _load_case(args.casefile)
-        judgment, proof = derive_counterfactual(case, oracle, not args.lenient_edges)
-    except dsl.ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidModel as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_CONFIG
-    except CandidateRejected as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_NOT_COUNTERFACTUAL
-    except OracleError as e:
-        print(f"oracle error: {e}", file=sys.stderr)
-        return EXIT_ORACLE
+    case = dsl.parse_case(_read(args.casefile))
+    judgment, proof = derive_counterfactual(case, oracle, not args.lenient_edges)
     print(dsl.render_judgment(judgment))
     if args.emit_proof:
         try:
             with open(args.emit_proof, "w", encoding="utf-8") as f:
                 f.write(dsl.render_proof(proof))
         except OSError as e:
-            print(f"cannot write proof: {e}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"cannot write proof: {e}")
     return 0
 
 
 def cmd_closure(args) -> int:
-    try:
-        parsed = dsl.parse_case_or_graph(_read(args.file))
-    except dsl.ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    parsed = dsl.parse_case_or_graph(_read(args.file))
     graph = parsed if isinstance(parsed, CausalGraph) else parsed.graph
     if args.of:
-        if args.of not in graph.nodes:
-            print(f"unknown variable: {args.of}", file=sys.stderr)
-            return EXIT_CONFIG
         print(", ".join(sorted(descendants(graph, args.of))))
         return 0
     relation = mediate_closure(graph)
@@ -195,12 +178,12 @@ def cmd_closure(args) -> int:
 
 
 def cmd_verify_proof(args) -> int:
-    try:
-        proof = dsl.parse_proof(_read(args.prooffile))
-        case = _load_case(args.casefile)
-    except (dsl.ParseError, dsl.ProofFormatError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    proof = dsl.parse_proof(_read(args.prooffile))
+    case = dsl.parse_case(_read(args.casefile))
+    if any(a.intervention_item() is not None for a in proof.assumptions):
+        # as for candidates: it must enter by weakening, checked against the case below
+        print("FAIL: an assumption carries an intervention expression", file=sys.stderr)
+        return 1
     expected = InterventionItem(case.intervention_expr())
     for k, step in enumerate(proof.steps):
         if isinstance(step.item, InterventionItem) and step.item != expected:
@@ -269,9 +252,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_CONFIG
+    except _HANDLED as e:
+        return _report(e)
 
 
 def entry() -> None:

@@ -1,21 +1,13 @@
-"""Graph algorithms over causal graphs: acyclicity, the reflexive-transitive
-causal closure with intermediate-cause witnesses, descendant sets, and the
+"""Graph algorithms over causal graphs: the reflexive-transitive causal
+closure with intermediate-cause witnesses, descendant sets, and the
 edge-erasing graph intervention.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from .model import CausalGraph, InvalidModel, find_cycle
-
-
-def check_acyclic(
-    nodes: Iterable[str], edges: Iterable[tuple[str, str]]
-) -> Optional[list[str]]:
-    """Return None if the candidate graph is acyclic, else one cycle as a
-    node sequence [v0, ..., v0]."""
-    return find_cycle(nodes, edges)
+from .model import CausalGraph
 
 
 class MediateRelation:
@@ -39,9 +31,6 @@ class MediateRelation:
     def witnesses(self, a: str, b: str) -> Optional[frozenset[str]]:
         return self._by_pair.get((a, b))
 
-    def reaches(self, a: str, b: str) -> bool:
-        return (a, b) in self._by_pair
-
     def __len__(self):
         return len(self._by_pair)
 
@@ -51,45 +40,21 @@ class MediateRelation:
         return self._by_pair == other._by_pair
 
 
-def _topological_order(g: CausalGraph) -> list[str]:
-    indeg = {n: 0 for n in g.nodes}
-    for _, dst in g.edges:
-        indeg[dst] += 1
-    ready = sorted(n for n, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for m in sorted(g.children(n)):
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    return order
-
-
 def mediate_closure(g: CausalGraph) -> MediateRelation:
     """Compute all mediate-cause entries with their witness sets.
 
     Witness sets are accumulated along a topological order: the witnesses of
     (a, b) are the union of the witnesses of (a, x) over reached parents x
-    of b, plus b itself.
+    of b, plus b itself. Only nodes after a in the order can be reached.
     """
-    order = _topological_order(g)
+    order = g.topological_order()
     entries: dict[tuple[str, str], frozenset[str]] = {}
-    for a in g.nodes:
-        reached: dict[str, set[str]] = {}
-        for b in order:
-            witnesses: set[str] = set()
-            hit = False
-            for x in g.parents(b):
-                if x == a:
-                    hit = True
-                elif x in reached:
-                    hit = True
-                    witnesses |= reached[x]
-            if hit:
-                witnesses.add(b)
-                reached[b] = witnesses
+    for i, a in enumerate(order):
+        reached: dict[str, set[str]] = {a: set()}
+        for b in order[i + 1 :]:
+            hits = [reached[x] for x in g.parents(b) if x in reached]
+            if hits:
+                reached[b] = {b}.union(*hits)
         for b, m in reached.items():
             entries[(a, b)] = frozenset(m)
     for v in g.nodes:
@@ -100,8 +65,7 @@ def mediate_closure(g: CausalGraph) -> MediateRelation:
 def descendants(g: CausalGraph, a: str) -> frozenset[str]:
     """All direct or indirect effects of a variable, plus the variable
     itself (reflexive closure)."""
-    if a not in g.nodes:
-        raise InvalidModel(f"unknown variable: {a}")
+    g.require(a)
     seen = {a}
     frontier = [a]
     while frontier:
@@ -115,6 +79,5 @@ def descendants(g: CausalGraph, a: str) -> frozenset[str]:
 
 def intervene_graph(g: CausalGraph, a: str) -> CausalGraph:
     """Erase every edge entering the intervened variable; nodes unchanged."""
-    if a not in g.nodes:
-        raise InvalidModel(f"unknown variable: {a}")
+    g.require(a)
     return CausalGraph(g.nodes, frozenset(e for e in g.edges if e[1] != a))

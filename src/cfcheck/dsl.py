@@ -9,6 +9,7 @@ in stored order), and parse(render(x)) == x for every well-formed value.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -24,15 +25,17 @@ from .model import (
     ContextItem,
     DataPoint,
     EdgeItem,
+    GraphCycle,
     Intervention,
     InterventionExpr,
     InterventionItem,
     InvalidModel,
     Judgment,
     Sum,
+    TOKEN_PATTERN,
+    UnknownVariable,
     ValueTerm,
     check_probability,
-    find_cycle,
     variables_of,
 )
 
@@ -57,8 +60,13 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer.
 
-_PUNCT2 = ("->", "|-")
-_PUNCT1 = "{}()[];,=+!@/"
+# One lexeme per match, after any blanks: a word (the model's token rule, so
+# every word is a valid token), punctuation, a newline, a comment, or one
+# character that starts no lexeme.
+_LEXEME_RE = re.compile(
+    rf"[^\S\n]*(?:(?P<word>{TOKEN_PATTERN})|(?P<punct>->|\|-|[{{}}()\[\];,=+!@/])"
+    r"|(?P<nl>\n)|#[^\n]*|(?P<bad>.)|\Z)"
+)
 
 
 @dataclass(frozen=True)
@@ -73,50 +81,22 @@ class Token:
         return SourceSpan(self.line, self.col, max(len(self.text), 1))
 
 
-def _is_word_char(c: str) -> bool:
-    return c.isalnum() or c in "_."
-
-
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _LEXEME_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # a comment, or blanks at the end
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            toks.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            toks.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if _is_word_char(c):
-            j = i
-            while j < n and _is_word_char(text[j]):
-                j += 1
-            toks.append(Token("word", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(SourceSpan(line, col, 1), "a token", repr(c))
-    toks.append(Token("eof", "", line, col))
+        lexeme = m.group(kind)
+        col = m.end() - len(lexeme) - line_start + 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(SourceSpan(line, col, 1), "a token", repr(lexeme))
+        else:
+            toks.append(Token("word" if kind == "word" else lexeme, lexeme, line, col))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -206,12 +186,10 @@ class _Parser:
             members.append(self.term())
         if len(members) == 1:
             return members[0]
-        seen = set()
-        for m in members:
-            if m in seen:
-                raise ParseError(start.span, "distinct sum members", "a duplicate member")
-            seen.add(m)
-        return Sum(tuple(members))
+        try:
+            return Sum(tuple(members))
+        except InvalidModel as e:
+            raise ParseError(start.span, "distinct sum members", str(e))
 
     def term(self) -> ValueTerm:
         if self.at("!"):
@@ -240,16 +218,7 @@ class _Parser:
                 raise ParseError(tok.span, "a probability in [0, 1]", f"{tok.text}/{den.text}")
         return _decimal_to_fraction(tok.text, tok.span)
 
-    def decimal_probability(self) -> Fraction:
-        tok = self.word("a decimal probability")
-        return _decimal_to_fraction(tok.text, tok.span)
-
     # -- attributions and context items ------------------------------------
-
-    def attribution(self) -> Attribution:
-        var = self.word("a variable name")
-        self.expect("=")
-        return Attribution(var.text, self.valueterm())
 
     def bracket_expr(self) -> InterventionExpr:
         """`[` edges, bare nodes and attributions `] I(var=value)`."""
@@ -257,7 +226,6 @@ class _Parser:
         edges: list[tuple[str, str]] = []
         nodes: set[str] = set()
         attrs: list[Attribution] = []
-        attr_spans: dict[str, SourceSpan] = {}
         if not self.at("]"):
             while True:
                 name = self.word("an edge, node or attribution")
@@ -268,11 +236,6 @@ class _Parser:
                     nodes.update((name.text, dst.text))
                 elif self.at("="):
                     self.advance()
-                    if name.text in attr_spans:
-                        raise ParseError(
-                            name.span, "a fresh variable", f"duplicate {name.text!r}"
-                        )
-                    attr_spans[name.text] = name.span
                     attrs.append(Attribution(name.text, self.valueterm()))
                     nodes.add(name.text)
                 else:
@@ -291,9 +254,6 @@ class _Parser:
         val = self.word("an atomic value")
         self.expect(")")
         nodes.add(var.text)
-        cycle = find_cycle(nodes, edges)
-        if cycle:
-            raise ParseError(open_tok.span, "an acyclic graph", "cycle: " + " -> ".join(cycle))
         try:
             return InterventionExpr(
                 CausalGraph(frozenset(nodes), frozenset(edges)),
@@ -337,7 +297,7 @@ class _Parser:
 
     # -- case files -----------------------------------------------------------
 
-    def graph_block(self) -> tuple[CausalGraph, list[tuple[tuple[str, str], SourceSpan]]]:
+    def graph_block(self) -> CausalGraph:
         self.keyword("graph")
         self.expect("{")
         nodes: set[str] = set()
@@ -353,20 +313,15 @@ class _Parser:
                 nodes.add(src.text)
             self.expect(";")
         self.expect("}")
-        edge_set = [e for e, _ in edges]
-        cycle = find_cycle(nodes, edge_set)
-        if cycle:
-            cycle_edges = {(cycle[i], cycle[i + 1]) for i in range(len(cycle) - 1)}
+        try:
+            return CausalGraph(frozenset(nodes), frozenset(e for e, _ in edges))
+        except GraphCycle as e:
+            cycle_edges = set(zip(e.cycle, e.cycle[1:]))
             span = max(
-                (sp for e, sp in edges if e in cycle_edges),
+                (sp for edge, sp in edges if edge in cycle_edges),
                 key=lambda sp: (sp.line, sp.column),
             )
-            raise ParseError(span, "an acyclic graph", "cycle: " + " -> ".join(cycle))
-        try:
-            g = CausalGraph(frozenset(nodes), frozenset(edge_set))
-        except InvalidModel as e:
-            raise ParseError(edges[0][1] if edges else self.peek().span, "a valid graph", str(e))
-        return g, edges
+            raise ParseError(span, "an acyclic graph", str(e))
 
     def keyword(self, name: str) -> Token:
         tok = self.word(f"'{name}'")
@@ -390,57 +345,50 @@ class _Parser:
         self.expect("}")
         return DataPoint(tuple(attrs)), spans
 
-    def case(self) -> Case:
-        graph, _ = self.graph_block()
-        factual, factual_spans = self.attr_block("factual")
-        for var, span in factual_spans.items():
-            if var not in graph.nodes:
-                raise ParseError(span, "a graph node", f"unknown variable {var!r}")
+    def case(self, graph: CausalGraph) -> Case:
+        """The rest of a case file, after its graph block."""
+        factual, spans = self.attr_block("factual")
 
         self.keyword("intervene")
         ivar = self.word("the intervention variable")
-        if ivar.text not in graph.nodes:
-            raise ParseError(ivar.span, "a graph node", f"unknown variable {ivar.text!r}")
         self.expect("=")
         ival = self.word("an atomic value")
         self.expect(";")
 
         self.keyword("target")
         tvar = self.word("the target variable")
-        if tvar.text not in graph.nodes:
-            raise ParseError(tvar.span, "a graph node", f"unknown variable {tvar.text!r}")
-        if tvar.text in factual_spans:
-            raise ParseError(tvar.span, "a target outside the factual data point", tvar.text)
-        if tvar.text == ivar.text:
-            raise ParseError(tvar.span, "a target distinct from the intervention variable", tvar.text)
         self.expect("=")
         tval = self.valueterm()
         self.expect(";")
 
         candidate = None
         if self.at("word") and self.peek().text == "candidate":
-            cand_dp, cand_spans = self.attr_block("candidate")
-            for var, span in cand_spans.items():
-                if var not in graph.nodes:
-                    raise ParseError(span, "a graph node", f"unknown variable {var!r}")
-            candidate = cand_dp
+            candidate, cand_spans = self.attr_block("candidate")
+            spans.update(cand_spans)
+        spans.update({ivar.text: ivar.span, tvar.text: tvar.span})
 
         prob = None
         if self.at("word") and self.peek().text == "factual_prob":
             self.advance()
-            prob = self.decimal_probability()
+            tok = self.word("a decimal probability")
+            prob = _decimal_to_fraction(tok.text, tok.span)
             self.expect(";")
 
         self.expect("eof", "end of case file")
-        return Case(
-            graph=graph,
-            factual=factual,
-            intervention=Intervention(ivar.text, Atom(ival.text)),
-            target=tvar.text,
-            target_value=tval,
-            factual_prob=prob,
-            candidate_override=candidate,
-        )
+        try:
+            return Case(
+                graph=graph,
+                factual=factual,
+                intervention=Intervention(ivar.text, Atom(ival.text)),
+                target=tvar.text,
+                target_value=tval,
+                factual_prob=prob,
+                candidate_override=candidate,
+            )
+        except UnknownVariable as e:
+            raise ParseError(spans[e.var], "a graph node", f"unknown variable {e.var!r}")
+        except InvalidModel as e:  # every other case invariant concerns the target
+            raise ParseError(tvar.span, "a well-formed case", str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +396,13 @@ class _Parser:
 
 
 def parse_case(text: str) -> Case:
-    return _Parser(tokenize(text)).case()
+    p = _Parser(tokenize(text))
+    return p.case(p.graph_block())
 
 
 def parse_graph(text: str) -> CausalGraph:
     p = _Parser(tokenize(text))
-    g, _ = p.graph_block()
+    g = p.graph_block()
     p.expect("eof", "end of graph file")
     return g
 
@@ -461,10 +410,8 @@ def parse_graph(text: str) -> CausalGraph:
 def parse_case_or_graph(text: str) -> Union[Case, CausalGraph]:
     """Parse either a full case file or a bare graph block."""
     p = _Parser(tokenize(text))
-    g, _ = p.graph_block()
-    if p.at("eof"):
-        return g
-    return _Parser(tokenize(text)).case()
+    g = p.graph_block()
+    return g if p.at("eof") else p.case(g)
 
 
 def parse_judgment(text: str) -> Judgment:
@@ -556,10 +503,6 @@ def render_judgment(j: Judgment) -> str:
     return f"{lhs} {rhs}" if lhs else rhs
 
 
-def render_judgment_db(judgments: list[Judgment]) -> str:
-    return "".join(render_judgment(j) + ";\n" for j in judgments)
-
-
 # ---------------------------------------------------------------------------
 # Proof serialization (JSON with DSL-syntax judgment and item strings).
 
@@ -572,7 +515,6 @@ def proof_to_dict(p: Proof) -> dict:
                 "rule": s.rule.value,
                 "item": None if s.item is None else render_context_item(s.item),
                 "premise": s.premise,
-                **({"premise2": s.premise2} if s.premise2 is not None else {}),
                 "conclusion": render_judgment(s.conclusion),
             }
             for s in p.steps
@@ -595,12 +537,14 @@ def proof_from_dict(doc: dict) -> Proof:
         for raw in doc["steps"]:
             rule = RuleId(raw["rule"])
             item = None if raw.get("item") is None else parse_context_item(raw["item"])
+            premise = raw.get("premise")
+            if premise is not None and type(premise) is not int:
+                raise ValueError(f"premise {premise!r} is not an integer index")
             steps.append(
                 ProofStep(
                     rule=rule,
                     item=item,
-                    premise=raw.get("premise"),
-                    premise2=raw.get("premise2"),
+                    premise=premise,
                     conclusion=parse_judgment(raw["conclusion"]),
                 )
             )

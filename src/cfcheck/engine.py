@@ -64,15 +64,14 @@ class Case:
     candidate_override: Optional[DataPoint] = None
 
     def __post_init__(self):
-        if self.target not in self.graph.nodes:
-            raise InvalidModel(f"target {self.target} not in graph")
-        if self.intervention.var not in self.graph.nodes:
-            raise InvalidModel(f"intervention variable {self.intervention.var} not in graph")
+        self.graph.require(
+            *(a.var for a in self.factual),
+            self.intervention.var,
+            self.target,
+            *(a.var for a in self.candidate_override or ()),
+        )
         if self.intervention.var == self.target:
             raise InvalidModel("intervention variable must differ from the target")
-        extra = variables_of(self.factual) - self.graph.nodes
-        if extra:
-            raise InvalidModel(f"factual variables not in graph: {sorted(extra)}")
         if self.target in variables_of(self.factual):
             raise InvalidModel(f"target {self.target} attributed in the factual data point")
         if self.factual_prob is not None:
@@ -119,8 +118,8 @@ def build_candidate(case: Case) -> tuple[CausalGraph, DataPoint]:
 def candidate_judgment(case: Case, sigma: DataPoint, prob: Fraction) -> Judgment:
     """Assemble the counterfactual-candidate judgment over the intervened
     graph: its edges and the reduced attributions, entailing the target."""
-    graph_i = intervene_graph(case.graph, case.intervention.var)
-    context: list[ContextItem] = [EdgeItem(s, d) for s, d in sorted(graph_i.edges)]
+    a_j = case.intervention.var
+    context: list[ContextItem] = [EdgeItem(s, d) for s, d in sorted(case.graph.edges) if d != a_j]
     context += [AttrItem(a) for a in sigma]
     return Judgment(tuple(context), case.target, case.target_value, prob)
 

@@ -7,7 +7,7 @@ append-only record of rule applications that the checker can re-execute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -30,8 +30,6 @@ class RuleId(Enum):
     INTERVENTION_CUT = "intervention-cut"
     EDGE_CUT = "edge-cut"
     VALUE_CUT = "value-cut"
-    GENERIC_CUT = "cut"
-    INTERVENTION_AXIOM = "intervention-axiom"
 
 
 class RuleError(Exception):
@@ -159,7 +157,6 @@ class ProofStep:
     item: Optional[ContextItem]
     premise: Optional[int]
     conclusion: Judgment
-    premise2: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -170,6 +167,8 @@ class Proof:
     def __post_init__(self):
         object.__setattr__(self, "assumptions", tuple(self.assumptions))
         object.__setattr__(self, "steps", tuple(self.steps))
+        if not self.assumptions:
+            raise ValueError("a proof needs at least one assumption")
 
     def conclusion(self) -> Judgment:
         if self.steps:
@@ -203,58 +202,33 @@ def check_proof(p: Proof, strict: bool = True) -> ProofCheck:
     reproduces the recorded conclusion exactly.
     """
     base = len(p.assumptions)
-
-    def resolve(idx: Optional[int], k: int) -> tuple[Optional[Judgment], Optional[ProofCheck]]:
-        if idx is None:
-            return None, _fail(k, "premise-missing", "step requires a premise index")
-        if idx < 0 or idx >= base + len(p.steps):
-            return None, _fail(k, "premise-out-of-range", f"premise index {idx} out of range")
-        if idx >= base + k:
-            return None, _fail(
-                k, "premise-order", f"premise index {idx} does not precede step {k}"
-            )
-        if idx < base:
-            return p.assumptions[idx], None
-        return p.steps[idx - base].conclusion, None
-
     for k, step in enumerate(p.steps):
+        idx, item = step.premise, step.item
+        if idx is None:
+            return _fail(k, "premise-missing", "step requires a premise index")
+        if idx < 0 or idx >= base + len(p.steps):
+            return _fail(k, "premise-out-of-range", f"premise index {idx} out of range")
+        if idx >= base + k:
+            return _fail(k, "premise-order", f"premise index {idx} does not precede step {k}")
+        prem = p.assumptions[idx] if idx < base else p.steps[idx - base].conclusion
         try:
-            if step.rule is RuleId.INTERVENTION_AXIOM:
-                if not isinstance(step.item, InterventionItem):
-                    return _fail(k, "bad-item", "axiom step needs an intervention item")
-                got = intervention_axiom(step.item.expr)
-            elif step.rule is RuleId.GENERIC_CUT:
-                left, err = resolve(step.premise, k)
-                if err:
-                    return err
-                right, err = resolve(step.premise2, k)
-                if err:
-                    return err
-                got = generic_cut(left, right)
-            else:
-                prem, err = resolve(step.premise, k)
-                if err:
-                    return err
-                if step.rule is RuleId.WEAKENING:
-                    if not isinstance(step.item, InterventionItem):
-                        return _fail(k, "bad-item", "weakening needs an intervention item")
-                    got = apply_c_weakening(prem, step.item.expr)
-                elif step.rule is RuleId.INTERVENTION_CUT:
-                    got = apply_i_cut(prem)
-                    iv = prem.intervention_item().expr.intervention
-                    expected_item = AttrItem(Attribution(iv.var, iv.value))
-                    if step.item is not None and step.item != expected_item:
-                        return _fail(k, "bad-item", "recorded item is not the imposed attribution")
-                elif step.rule is RuleId.EDGE_CUT:
-                    if not isinstance(step.item, EdgeItem):
-                        return _fail(k, "bad-item", "edge cut needs an edge item")
-                    got = apply_tri_cut(prem, (step.item.src, step.item.dst), strict)
-                elif step.rule is RuleId.VALUE_CUT:
-                    if not isinstance(step.item, AttrItem):
-                        return _fail(k, "bad-item", "value cut needs an attribution item")
-                    got = apply_v_cut(prem, step.item.attribution)
-                else:  # pragma: no cover - RuleId is a closed enumeration
-                    return _fail(k, "unknown-rule", f"unknown rule {step.rule}")
+            if step.rule is RuleId.WEAKENING:
+                if not isinstance(item, InterventionItem):
+                    return _fail(k, "bad-item", "weakening needs an intervention item")
+                got = apply_c_weakening(prem, item.expr)
+            elif step.rule is RuleId.INTERVENTION_CUT:
+                got = apply_i_cut(prem)
+                iv = prem.intervention_item().expr.intervention
+                if item is not None and item != AttrItem(Attribution(iv.var, iv.value)):
+                    return _fail(k, "bad-item", "recorded item is not the imposed attribution")
+            elif step.rule is RuleId.EDGE_CUT:
+                if not isinstance(item, EdgeItem):
+                    return _fail(k, "bad-item", "edge cut needs an edge item")
+                got = apply_tri_cut(prem, (item.src, item.dst), strict)
+            else:  # RuleId.VALUE_CUT, the last of the four rules
+                if not isinstance(item, AttrItem):
+                    return _fail(k, "bad-item", "value cut needs an attribution item")
+                got = apply_v_cut(prem, item.attribution)
         except RuleError as e:
             return _fail(k, e.code, str(e))
         if got != step.conclusion:

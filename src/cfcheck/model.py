@@ -13,11 +13,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
+# Variables and atomic values: the one token rule, shared by the parser.
+TOKEN_PATTERN = r"[A-Za-z0-9_.]+"
+_TOKEN_RE = re.compile(TOKEN_PATTERN + r"\Z")
 
 
 class InvalidModel(ValueError):
     """A structural invariant was violated at construction time."""
+
+
+class UnknownVariable(InvalidModel):
+    """A variable is used that the causal graph does not have."""
+
+    def __init__(self, var: str):
+        self.var = var
+        super().__init__(f"unknown variable: {var}")
 
 
 class GraphCycle(InvalidModel):
@@ -132,42 +142,47 @@ def variables_of(dp: DataPoint) -> frozenset[str]:
 # Causal graphs.
 
 
+def _cycle_or_order(succ: dict[str, list[str]]) -> tuple[Optional[list[str]], list[str]]:
+    """Iterative depth-first search: one cycle [v0, ..., v0] or None, and,
+    when there is none, the nodes in topological order."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in succ}
+    finished: list[str] = []
+    for root in sorted(succ):
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        stack, pending = [root], [iter(succ[root])]
+        while stack:
+            for m in pending[-1]:
+                if color[m] == GREY:
+                    return stack[stack.index(m) :] + [m], []
+                if color[m] == WHITE:
+                    color[m] = GREY
+                    stack.append(m)
+                    pending.append(iter(succ[m]))
+                    break
+            else:
+                pending.pop()
+                color[stack[-1]] = BLACK
+                finished.append(stack.pop())
+    finished.reverse()
+    return None, finished
+
+
 def find_cycle(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> Optional[list[str]]:
     """Return one directed cycle as a node sequence [v0, ..., v0], or None."""
     succ: dict[str, list[str]] = {n: [] for n in nodes}
     for src, dst in edges:
         succ.setdefault(src, []).append(dst)
         succ.setdefault(dst, [])
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in succ}
-    stack: list[str] = []
-
-    def visit(n: str) -> Optional[list[str]]:
-        color[n] = GREY
-        stack.append(n)
-        for m in succ[n]:
-            if color[m] == GREY:
-                i = stack.index(m)
-                return stack[i:] + [m]
-            if color[m] == WHITE:
-                found = visit(m)
-                if found:
-                    return found
-        stack.pop()
-        color[n] = BLACK
-        return None
-
-    for n in sorted(succ):
-        if color[n] == WHITE:
-            found = visit(n)
-            if found:
-                return found
-    return None
+    return _cycle_or_order(succ)[0]
 
 
 @dataclass(frozen=True)
 class CausalGraph:
-    """Acyclic directed graph of immediate causal relations."""
+    """Acyclic directed graph of immediate causal relations. Its adjacency
+    and a topological order are built once, by the acyclicity check."""
 
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
@@ -175,22 +190,37 @@ class CausalGraph:
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        for n in self.nodes:
-            check_token(n)
+        succ: dict[str, list[str]] = {check_token(n): [] for n in self.nodes}
+        pred: dict[str, list[str]] = {n: [] for n in self.nodes}
         for src, dst in self.edges:
-            if src not in self.nodes or dst not in self.nodes:
-                raise InvalidModel(f"edge endpoint not a node: {src} -> {dst}")
-            if src == dst:
-                raise InvalidModel(f"self-edge not allowed: {src} -> {dst}")
-        cycle = find_cycle(self.nodes, self.edges)
+            try:
+                succ[src].append(dst)
+                pred[dst].append(src)
+            except KeyError as e:
+                raise UnknownVariable(e.args[0])
+        cycle, order = _cycle_or_order(succ)
         if cycle:
             raise GraphCycle(cycle)
+        # tuples, not lists: a parsed proof holds one graph per judgment
+        object.__setattr__(self, "_succ", {n: tuple(m) for n, m in succ.items()})
+        object.__setattr__(self, "_pred", {n: tuple(m) for n, m in pred.items()})
+        object.__setattr__(self, "_order", tuple(order))
+
+    def require(self, *names: str) -> None:
+        """Raise UnknownVariable for the first name that is not a node."""
+        for name in names:
+            if name not in self.nodes:
+                raise UnknownVariable(name)
 
     def parents(self, node: str) -> frozenset[str]:
-        return frozenset(s for s, d in self.edges if d == node)
+        return frozenset(self._pred.get(node, ()))
 
     def children(self, node: str) -> frozenset[str]:
-        return frozenset(d for s, d in self.edges if s == node)
+        return frozenset(self._succ.get(node, ()))
+
+    def topological_order(self) -> tuple[str, ...]:
+        """Every node, each after all of its causes."""
+        return self._order
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +249,7 @@ class InterventionExpr:
     intervention: Intervention
 
     def __post_init__(self):
-        if self.intervention.var not in self.graph.nodes:
-            raise InvalidModel(f"intervention variable {self.intervention.var} not in graph")
-        extra = variables_of(self.datapoint) - self.graph.nodes
-        if extra:
-            raise InvalidModel(f"data point variables not in graph: {sorted(extra)}")
+        self.graph.require(self.intervention.var, *(a.var for a in self.datapoint))
 
 
 # ---------------------------------------------------------------------------

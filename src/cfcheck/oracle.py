@@ -178,7 +178,12 @@ class ExternalCommandOracle:
         self.argv = list(argv)
         if timeout is None:
             env_ms = os.environ.get("CF_ORACLE_TIMEOUT_MS")
-            timeout = float(env_ms) / 1000.0 if env_ms else DEFAULT_TIMEOUT_S
+            try:
+                timeout = float(env_ms) / 1000.0 if env_ms else DEFAULT_TIMEOUT_S
+            except ValueError:
+                timeout = float("nan")
+            if not 0 < timeout < float("inf"):
+                raise OracleError(f"CF_ORACLE_TIMEOUT_MS is not a positive number: {env_ms!r}")
         self.timeout = timeout
 
     def query(self, q: OracleQuery) -> Fraction:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -208,3 +209,98 @@ def test_check_external_command_oracle(capsys, loan_cfc, tmp_path):
         capsys, "check", loan_cfc, "--oracle", f"cmd:{sys.executable} {stub}"
     )
     assert code == 0 and "FAIR" in out
+
+
+@pytest.fixture
+def loan_proof_doc(capsys, loan_cfc, data_dir, tmp_path):
+    proof_path = tmp_path / "loan.proof.json"
+    run(capsys, "derive", loan_cfc, "--oracle", f"db:{data_dir / 'loan.db'}",
+        "--emit-proof", str(proof_path))
+    return json.loads(proof_path.read_text())
+
+
+@pytest.mark.parametrize("prob", ["0.6", "0.01"])
+def test_verify_proof_rejects_zero_step_proof(capsys, loan_cfc, loan_proof_doc, tmp_path, prob):
+    # the counterfactual judgment assumed outright, with no weakening step
+    conclusion = loan_proof_doc["steps"][-1]["conclusion"].replace("@ 0.6", f"@ {prob}")
+    proof_path = tmp_path / "zero.proof.json"
+    proof_path.write_text(json.dumps({"assumptions": [conclusion], "steps": []}))
+    code, out, err = run(capsys, "verify-proof", str(proof_path), loan_cfc)
+    assert code == 1 and "OK" not in out
+    assert "FAIL" in err and "intervention expression" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: doc.update(assumptions=[], steps=[]), id="no-assumptions"),
+        pytest.param(lambda doc: doc["steps"][1].update(premise="x"), id="premise-str"),
+        pytest.param(lambda doc: doc["steps"][1].update(premise=1.5), id="premise-float"),
+        pytest.param(lambda doc: doc["steps"][1].update(rule="cut"), id="rule-cut"),
+        pytest.param(
+            lambda doc: doc["steps"][0].update(rule="intervention-axiom"), id="rule-axiom"
+        ),
+    ],
+)
+def test_verify_proof_malformed_document_exit_3(capsys, loan_cfc, loan_proof_doc, tmp_path, edit):
+    edit(loan_proof_doc)
+    proof_path = tmp_path / "bad.proof.json"
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    code, _, err = run(capsys, "verify-proof", str(proof_path), loan_cfc)
+    assert code == 3 and "parse error" in err and "malformed proof document" in err
+
+
+def _assert_parse_error_with_span(result):
+    code, _, err = result
+    assert code == 3 and "parse error" in err
+    assert re.search(r"\d+:\d+: expected a token, found '.'", err)
+
+
+@pytest.mark.parametrize("command", ["verify-proof", "closure"])
+def test_non_ascii_value_in_case_is_parse_error(
+    capsys, data_dir, loan_proof_doc, tmp_path, command
+):
+    case = tmp_path / "accent.cfc"
+    case.write_text((data_dir / "loan.cfc").read_text().replace("Gender = m;", "Gender = mé;"))
+    proof_path = tmp_path / "loan.proof.json"
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    argv = [str(proof_path), str(case)] if command == "verify-proof" else [str(case)]
+    _assert_parse_error_with_span(run(capsys, command, *argv))
+
+
+def test_non_ascii_value_in_judgment_db_is_parse_error(capsys, loan_cfc, data_dir, tmp_path):
+    db = tmp_path / "accent.db"
+    db.write_text((data_dir / "loan.db").read_text().replace("Loan = yes", "Loan = yés"))
+    _assert_parse_error_with_span(run(capsys, "check", loan_cfc, "--oracle", f"db:{db}"))
+
+
+def test_non_ascii_digit_epsilon_is_parse_error(capsys, loan_cfc, data_dir):
+    _assert_parse_error_with_span(
+        run(capsys, "check", loan_cfc, "--oracle", f"db:{data_dir / 'loan.db'}",
+            "--epsilon", "²")
+    )
+
+
+def test_non_ascii_digit_factual_prob_is_parse_error(capsys, data_dir, tmp_path):
+    case = tmp_path / "superscript.cfc"
+    case.write_text(
+        (data_dir / "loan.cfc").read_text().replace("factual_prob 0.60;", "factual_prob ²;")
+    )
+    _assert_parse_error_with_span(
+        run(capsys, "check", str(case), "--oracle", f"db:{data_dir / 'loan.db'}")
+    )
+
+
+def test_non_numeric_oracle_timeout_exit_3(capsys, loan_cfc, monkeypatch):
+    monkeypatch.setenv("CF_ORACLE_TIMEOUT_MS", "abc")
+    code, _, err = run(capsys, "check", loan_cfc, "--oracle", "cmd:true")
+    assert code == 3 and "CF_ORACLE_TIMEOUT_MS" in err
+
+
+def test_closure_of_long_chain(capsys, tmp_path):
+    # a causal path longer than the interpreter's recursion limit
+    n = 3000
+    path = tmp_path / "chain.graph"
+    path.write_text("graph {\n" + "".join(f"v{i} -> v{i + 1};\n" for i in range(n)) + "}\n")
+    code, out, _ = run(capsys, "closure", str(path), "--of", f"v{n - 1}")
+    assert code == 0 and out.strip() == f"v{n - 1}, v{n}"

@@ -5,11 +5,11 @@ import pytest
 from cfcheck import (
     CausalGraph,
     InvalidModel,
-    check_acyclic,
     descendants,
     intervene_graph,
     mediate_closure,
 )
+from cfcheck.model import find_cycle as check_acyclic
 from conftest import brute_force_closure, random_dag
 
 

@@ -335,3 +335,62 @@ def test_check_proof_rejects_forward_premise(loan_proof):
 def test_check_proof_rejects_out_of_range_premise(loan_proof):
     result = check_proof(_mutate_step(loan_proof, 1, premise=99))
     assert not result.ok and result.code == "premise-out-of-range"
+
+
+def _first(proof, rule):
+    return _step_indices(proof, rule)[0]
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        pytest.param(lambda p: (1, {"premise": None}), "premise-missing", id="premise-missing"),
+        pytest.param(
+            lambda p: (0, {"item": EdgeItem("Gender", "MS")}),
+            "bad-item",
+            id="bad-item-weakening",
+        ),
+        pytest.param(
+            lambda p: (
+                _first(p, RuleId.INTERVENTION_CUT),
+                {"item": AttrItem(Attribution("MS", Atom("mar")))},
+            ),
+            "bad-item",
+            id="bad-item-intervention-cut",
+        ),
+        pytest.param(
+            lambda p: (
+                _first(p, RuleId.EDGE_CUT),
+                {"item": AttrItem(Attribution("SAT", Atom("1100")))},
+            ),
+            "bad-item",
+            id="bad-item-edge-cut",
+        ),
+        pytest.param(
+            lambda p: (_first(p, RuleId.VALUE_CUT), {"item": EdgeItem("Degree", "GAI")}),
+            "bad-item",
+            id="bad-item-value-cut",
+        ),
+        pytest.param(
+            lambda p: (
+                _first(p, RuleId.EDGE_CUT),
+                {"rule": RuleId.WEAKENING, "item": p.steps[0].item},
+            ),
+            "intervention-present",
+            id="intervention-present",
+        ),
+        pytest.param(
+            # erase again the attribution the previous value cut erased
+            lambda p: (
+                _step_indices(p, RuleId.VALUE_CUT)[1],
+                {"item": p.steps[_first(p, RuleId.VALUE_CUT)].item},
+            ),
+            "attribution-not-in-context",
+            id="attribution-not-in-context",
+        ),
+    ],
+)
+def test_check_proof_failure_branches(loan_proof, edit, code):
+    index, changes = edit(loan_proof)
+    result = check_proof(_mutate_step(loan_proof, index, **changes))
+    assert not result.ok and result.step == index and result.code == code

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from fractions import Fraction
@@ -20,6 +21,7 @@ from cfcheck import (
     variables_of,
 )
 from cfcheck.model import check_probability, check_token
+from conftest import random_dag
 
 
 def test_token_validation():
@@ -144,3 +146,15 @@ def test_judgment_target_not_in_context():
         Judgment(
             (AttrItem(Attribution("T", Atom("x"))),), "T", Atom("yes"), Fraction(1)
         )
+
+
+def test_graph_adjacency_and_order_match_edges():
+    rng = random.Random(11)
+    for _ in range(200):
+        g = random_dag(rng)
+        position = {v: i for i, v in enumerate(g.topological_order())}
+        assert sorted(position) == sorted(g.nodes)
+        assert all(position[s] < position[d] for s, d in g.edges)
+        for v in g.nodes:
+            assert g.children(v) == {d for s, d in g.edges if s == v}
+            assert g.parents(v) == {s for s, d in g.edges if d == v}

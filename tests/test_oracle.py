@@ -218,3 +218,10 @@ def test_external_command_malformed_response(tmp_path):
     argv = _stub(tmp_path, 'print("not json")')
     with pytest.raises(OracleError, match="malformed"):
         ExternalCommandOracle(argv).query(query([]))
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-5"])
+def test_external_command_rejects_bad_timeout_setting(monkeypatch, value):
+    monkeypatch.setenv("CF_ORACLE_TIMEOUT_MS", value)
+    with pytest.raises(OracleError, match="CF_ORACLE_TIMEOUT_MS"):
+        ExternalCommandOracle(["true"])
