@@ -53,11 +53,10 @@ _ERRORS = (
 _HANDLED = tuple(t for types, _, _ in _ERRORS for t in types)
 
 
-def _report(e: Exception, head: str = "") -> int:
-    """Print a handled error on stderr and return its exit code."""
+def _error(e: Exception, head: str = "") -> tuple[int, str]:
+    """The exit code and the stderr message of a handled error."""
     code, prefix = next((code, prefix) for types, code, prefix in _ERRORS if isinstance(e, types))
-    print(f"{head}{prefix}{e}", file=sys.stderr)
-    return code
+    return code, f"{head}{prefix}{e}"
 
 
 def load_oracle(spec: str) -> ClassifierOracle:
@@ -124,31 +123,36 @@ def _verdict_report(verdict, fmt: str, prefix: str = "") -> str:
     )
 
 
-def _check_one(path: str, oracle, epsilon, strict, fmt, prefix="") -> int:
+def _check_one(path: str, oracle, epsilon, strict, fmt, prefix) -> tuple[int, str, str]:
+    """Check one case file; return its exit code, stdout text and stderr text."""
     try:
         verdict = check_case(dsl.parse_case(_read(path)), oracle, epsilon, strict)
     except _HANDLED as e:
-        return _report(e, f"{prefix}{path}: ")
-    print(_verdict_report(verdict, fmt, prefix))
-    return EXIT_FAIR if verdict.fair else EXIT_UNFAIR
+        code, message = _error(e, f"{prefix}{path}: ")
+        return code, "", message
+    return (EXIT_FAIR if verdict.fair else EXIT_UNFAIR), _verdict_report(verdict, fmt, prefix), ""
 
 
 def cmd_check(args) -> int:
     oracle = load_oracle(args.oracle)
     epsilon = _epsilon(args.epsilon)
     strict = not args.lenient_edges
-    if len(args.casefile) == 1:
-        return _check_one(args.casefile[0], oracle, epsilon, strict, args.format)
+    batch = len(args.casefile) > 1
+    worst = EXIT_FAIR
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        codes = list(
-            pool.map(
-                lambda path: _check_one(
-                    path, oracle, epsilon, strict, args.format, prefix=f"{path}: "
-                ),
-                args.casefile,
-            )
-        )
-    return max(codes)
+        # map yields in argument order, so only this thread prints
+        for code, out, err in pool.map(
+            lambda path: _check_one(
+                path, oracle, epsilon, strict, args.format, f"{path}: " if batch else ""
+            ),
+            args.casefile,
+        ):
+            if out:
+                print(out)
+            if err:
+                print(err, file=sys.stderr)
+            worst = max(worst, code)
+    return worst
 
 
 def cmd_derive(args) -> int:
@@ -253,7 +257,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _HANDLED as e:
-        return _report(e)
+        code, message = _error(e)
+        print(message, file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -40,6 +40,7 @@ from .model import (
 )
 
 MAX_FRACTION_DIGITS = 6
+MAX_TERM_NESTING = 100  # `!` and `(` levels in one value term; deeper input is refused
 
 
 @dataclass(frozen=True)
@@ -178,12 +179,12 @@ class _Parser:
 
     # -- value terms ------------------------------------------------------
 
-    def valueterm(self) -> ValueTerm:
+    def valueterm(self, depth: int = 0) -> ValueTerm:
         start = self.peek()
-        members = [self.term()]
+        members = [self.term(depth)]
         while self.at("+"):
             self.advance()
-            members.append(self.term())
+            members.append(self.term(depth))
         if len(members) == 1:
             return members[0]
         try:
@@ -191,13 +192,13 @@ class _Parser:
         except InvalidModel as e:
             raise ParseError(start.span, "distinct sum members", str(e))
 
-    def term(self) -> ValueTerm:
-        if self.at("!"):
-            self.advance()
-            return Complement(self.term())
-        if self.at("("):
-            self.advance()
-            t = self.valueterm()
+    def term(self, depth: int) -> ValueTerm:
+        if self.at("!") or self.at("("):
+            if depth == MAX_TERM_NESTING:
+                self.error(f"at most {MAX_TERM_NESTING} nested '!' and '('")
+            if self.advance().kind == "!":
+                return Complement(self.term(depth + 1))
+            t = self.valueterm(depth + 1)
             self.expect(")")
             return t
         tok = self.word("a value term")
@@ -508,18 +509,19 @@ def render_judgment(j: Judgment) -> str:
 
 
 def proof_to_dict(p: Proof) -> dict:
-    return {
-        "assumptions": [render_judgment(a) for a in p.assumptions],
-        "steps": [
-            {
-                "rule": s.rule.value,
-                "item": None if s.item is None else render_context_item(s.item),
-                "premise": s.premise,
-                "conclusion": render_judgment(s.conclusion),
-            }
-            for s in p.steps
-        ],
-    }
+    """Only the last step records its conclusion, the judgment the proof
+    certifies; replay derives every other step's."""
+    steps = [
+        {
+            "rule": s.rule.value,
+            "item": None if s.item is None else render_context_item(s.item),
+            "premise": s.premise,
+        }
+        for s in p.steps
+    ]
+    if steps:
+        steps[-1]["conclusion"] = render_judgment(p.steps[-1].conclusion)
+    return {"assumptions": [render_judgment(a) for a in p.assumptions], "steps": steps}
 
 
 def render_proof(p: Proof) -> str:
@@ -540,14 +542,9 @@ def proof_from_dict(doc: dict) -> Proof:
             premise = raw.get("premise")
             if premise is not None and type(premise) is not int:
                 raise ValueError(f"premise {premise!r} is not an integer index")
-            steps.append(
-                ProofStep(
-                    rule=rule,
-                    item=item,
-                    premise=premise,
-                    conclusion=parse_judgment(raw["conclusion"]),
-                )
-            )
+            conclusion = raw.get("conclusion")
+            conclusion = None if conclusion is None else parse_judgment(conclusion)
+            steps.append(ProofStep(rule, item, premise, conclusion))
         return Proof(assumptions, tuple(steps))
     except (KeyError, TypeError, ValueError, ParseError) as e:
         raise ProofFormatError(f"malformed proof document: {e}")

@@ -156,7 +156,7 @@ class ProofStep:
     rule: RuleId
     item: Optional[ContextItem]
     premise: Optional[int]
-    conclusion: Judgment
+    conclusion: Optional[Judgment]  # replay derives it when absent
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,8 @@ class Proof:
         object.__setattr__(self, "steps", tuple(self.steps))
         if not self.assumptions:
             raise ValueError("a proof needs at least one assumption")
+        if self.steps and self.steps[-1].conclusion is None:
+            raise ValueError("the last step must record the certified conclusion")
 
     def conclusion(self) -> Judgment:
         if self.steps:
@@ -199,9 +201,11 @@ def check_proof(p: Proof, strict: bool = True) -> ProofCheck:
 
     A proof passes iff each step's premise references only earlier
     judgments, the rule's preconditions hold, and re-applying the rule
-    reproduces the recorded conclusion exactly.
+    reproduces the step's conclusion exactly wherever one is recorded.
+    Premises are always the replayed judgments, never the recorded ones.
     """
     base = len(p.assumptions)
+    derived = list(p.assumptions)
     for k, step in enumerate(p.steps):
         idx, item = step.premise, step.item
         if idx is None:
@@ -210,7 +214,7 @@ def check_proof(p: Proof, strict: bool = True) -> ProofCheck:
             return _fail(k, "premise-out-of-range", f"premise index {idx} out of range")
         if idx >= base + k:
             return _fail(k, "premise-order", f"premise index {idx} does not precede step {k}")
-        prem = p.assumptions[idx] if idx < base else p.steps[idx - base].conclusion
+        prem = derived[idx]
         try:
             if step.rule is RuleId.WEAKENING:
                 if not isinstance(item, InterventionItem):
@@ -231,8 +235,9 @@ def check_proof(p: Proof, strict: bool = True) -> ProofCheck:
                 got = apply_v_cut(prem, item.attribution)
         except RuleError as e:
             return _fail(k, e.code, str(e))
-        if got != step.conclusion:
+        if step.conclusion is not None and got != step.conclusion:
             return _fail(
                 k, "conclusion-mismatch", "recorded conclusion differs from replayed one"
             )
+        derived.append(got)
     return ProofCheck(True)

@@ -86,7 +86,6 @@ def value_matches(term: ValueTerm, observed: str) -> bool:
     An atom matches itself, a sum matches if any member does, and a
     complement matches if its inner term does not.
     """
-    check_token(observed)
     if isinstance(term, Atom):
         return term.token == observed
     if isinstance(term, Sum):

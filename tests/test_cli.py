@@ -240,6 +240,7 @@ def test_verify_proof_rejects_zero_step_proof(capsys, loan_cfc, loan_proof_doc, 
         pytest.param(
             lambda doc: doc["steps"][0].update(rule="intervention-axiom"), id="rule-axiom"
         ),
+        pytest.param(lambda doc: doc["steps"][-1].pop("conclusion"), id="no-final-conclusion"),
     ],
 )
 def test_verify_proof_malformed_document_exit_3(capsys, loan_cfc, loan_proof_doc, tmp_path, edit):
@@ -304,3 +305,91 @@ def test_closure_of_long_chain(capsys, tmp_path):
     path.write_text("graph {\n" + "".join(f"v{i} -> v{i + 1};\n" for i in range(n)) + "}\n")
     code, out, _ = run(capsys, "closure", str(path), "--of", f"v{n - 1}")
     assert code == 0 and out.strip() == f"v{n - 1}, v{n}"
+
+
+def test_proof_records_only_the_final_conclusion(loan_proof_doc):
+    steps = loan_proof_doc["steps"]
+    assert all(set(step) == {"rule", "item", "premise"} for step in steps[:-1])
+    assert set(steps[-1]) == {"rule", "item", "premise", "conclusion"}
+
+
+def test_verify_proof_reads_proofs_recording_every_conclusion(
+    capsys, loan_cfc, data_dir, loan_proof_doc, tmp_path
+):
+    from cfcheck.dsl import parse_case, parse_judgment_db, render_judgment
+    from cfcheck.engine import derive_counterfactual
+    from cfcheck.oracle import JudgmentDbOracle
+
+    case = parse_case((data_dir / "loan.cfc").read_text())
+    oracle = JudgmentDbOracle(parse_judgment_db((data_dir / "loan.db").read_text()))
+    _, proof = derive_counterfactual(case, oracle)
+    for raw, step in zip(loan_proof_doc["steps"], proof.steps):
+        raw["conclusion"] = render_judgment(step.conclusion)
+    proof_path = tmp_path / "full.proof.json"
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    code, out, _ = run(capsys, "verify-proof", str(proof_path), loan_cfc)
+    assert code == 0 and out.strip() == "OK: 14 steps replayed"
+
+    step = loan_proof_doc["steps"][5]
+    step["conclusion"] = step["conclusion"].replace("@ 0.6", "@ 0.9")
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    code, out, err = run(capsys, "verify-proof", str(proof_path), loan_cfc)
+    assert code == 1 and "OK" not in out
+    assert "FAIL at step 5: conclusion-mismatch" in err
+
+
+def _nested(kind, depth):
+    return "!" * depth + "m" if kind == "!" else "(" * depth + "m" + ")" * depth
+
+
+@pytest.mark.parametrize("kind", ["!", "("])
+def test_deeply_nested_value_term_in_case_is_parse_error(capsys, data_dir, tmp_path, kind):
+    case = tmp_path / "deep.cfc"
+    text = (data_dir / "loan.cfc").read_text()
+    case.write_text(text.replace("Gender = m;", f"Gender = {_nested(kind, 3000)};"))
+    code, _, err = run(capsys, "closure", str(case))
+    assert code == 3 and "parse error" in err
+    assert re.search(rf"\d+:\d+: expected at most \d+ nested '!' and '\(', found '\{kind}'", err)
+
+    case.write_text(text.replace("Gender = m;", f"Gender = {_nested(kind, 100)};"))
+    code, _, _ = run(capsys, "closure", str(case), "--of", "MS")
+    assert code == 0
+
+
+def test_deeply_nested_value_term_in_judgment_db_is_parse_error(
+    capsys, loan_cfc, data_dir, tmp_path
+):
+    db = tmp_path / "deep.db"
+    deep = _nested("!", 3000)
+    db.write_text((data_dir / "loan.db").read_text().replace("Gender = m,", f"Gender = {deep},"))
+    code, out, err = run(capsys, "check", loan_cfc, "--oracle", f"db:{db}")
+    assert code == 3 and out == "" and "parse error" in err and "nested" in err
+
+
+def test_check_batch_prints_in_argument_order(capsys, data_dir, tmp_path):
+    text = (data_dir / "loan.cfc").read_text()
+    fair_a, bad, rejected, fair_b = (tmp_path / f"{name}.cfc" for name in "abcd")
+    fair_a.write_text(text)
+    bad.write_text("graph { A -> ; }")
+    rejected.write_text(
+        text.replace(
+            "factual_prob 0.60;", "candidate { MS = div; GAI = 65K; }\nfactual_prob 0.60;"
+        )
+    )
+    fair_b.write_text(text)
+    db = tmp_path / "both.db"
+    db.write_text(
+        (data_dir / "loan.db").read_text() + "MS = div, GAI = 65K |- Loan = yes @ 0.60;\n"
+    )
+    paths = [str(p) for p in (fair_a, bad, rejected, fair_b)]
+    code, out, err = run(capsys, "check", *paths, "--oracle", f"db:{db}", "--jobs", "3")
+    assert code == 3
+    out_lines = out.splitlines()
+    assert len(out_lines) == 6
+    assert all(line.startswith(f"{paths[0]}: ") for line in out_lines[:3])
+    assert all(line.startswith(f"{paths[3]}: ") for line in out_lines[3:])
+    assert out_lines[0].endswith("FAIR p=0.6 q=0.6 |p-q|=0 epsilon=0")
+    err_lines = err.splitlines()
+    assert len(err_lines) == 2
+    assert err_lines[0].startswith(f"{paths[1]}: ") and "parse error" in err_lines[0]
+    assert err_lines[1].startswith(f"{paths[2]}: ") and "not a counterfactual" in err_lines[1]

@@ -20,6 +20,7 @@ from cfcheck import (
 from cfcheck.dsl import (
     ParseError,
     parse_case,
+    parse_proof,
     parse_case_or_graph,
     parse_context_item,
     parse_judgment,
@@ -28,8 +29,11 @@ from cfcheck.dsl import (
     render_context_item,
     render_judgment,
     render_probability,
+    render_proof,
     render_valueterm,
 )
+from cfcheck.engine import Case, derive_counterfactual
+from cfcheck.kernel import check_proof
 
 CASE_TEXT = """
 # comment lines are ignored
@@ -251,3 +255,42 @@ def test_context_item_round_trips():
         j = random_judgment(rng)
         for item in j.context:
             assert parse_context_item(render_context_item(item)) == item
+
+
+class _HalfOracle:
+    def query(self, q):
+        return Fraction(1, 2)
+
+
+def _sparse_dag_proof(n: int):
+    """Derive a proof on the ROADMAP's synthetic DAG: edges vi -> vj for j in
+    i+1..i+5 at probability 0.6, the middle node intervened, the last node
+    the target and every other node in the factual data point."""
+    rng = random.Random(n)
+    nodes = [f"v{i}" for i in range(n)]
+    edges = {
+        (nodes[i], nodes[j])
+        for i in range(n)
+        for j in range(i + 1, min(i + 6, n))
+        if rng.random() < 0.6
+    }
+    case = Case(
+        CausalGraph(frozenset(nodes), frozenset(edges)),
+        DataPoint(tuple(Attribution(v, Atom("x")) for v in nodes[:-1])),
+        Intervention(nodes[n // 2], Atom("y")),
+        nodes[-1],
+        Atom("yes"),
+    )
+    return derive_counterfactual(case, _HalfOracle())[1]
+
+
+def test_proof_bytes_per_step_stay_flat_as_the_graph_grows():
+    per_step = {}
+    for n in (30, 120):
+        proof = _sparse_dag_proof(n)
+        text = render_proof(proof)
+        per_step[n] = len(text) / len(proof.steps)
+        parsed = parse_proof(text)
+        assert check_proof(parsed).ok
+        assert parsed.conclusion() == proof.conclusion()
+    assert per_step[120] <= 1.5 * per_step[30]
