@@ -66,13 +66,12 @@ def load_oracle(spec: str) -> ClassifierOracle:
         raise ConfigError(f"bad oracle spec: {spec!r} (want csv:PATH, db:PATH or cmd:COMMAND)")
     try:
         if kind == "csv":
-            return CsvFrequencyOracle.from_path(rest)
+            return CsvFrequencyOracle.from_text(_read(rest))
         if kind == "db":
-            with open(rest, encoding="utf-8") as f:
-                return JudgmentDbOracle(dsl.parse_judgment_db(f.read()))
+            return JudgmentDbOracle(dsl.parse_judgment_db(_read(rest)))
         if kind == "cmd":
             return ExternalCommandOracle(shlex.split(rest))
-    except OSError as e:
+    except ConfigError as e:
         raise ConfigError(f"cannot load oracle: {e}")
     except dsl.ParseError as e:
         raise ConfigError(f"cannot load oracle {spec!r}: parse error: {e}")
@@ -87,6 +86,8 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as e:
         raise ConfigError(str(e))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path!r} is not UTF-8 text: byte {e.start}: {e.reason}")
 
 
 def _epsilon(text: str) -> Fraction:
@@ -123,28 +124,26 @@ def _verdict_report(verdict, fmt: str, prefix: str = "") -> str:
     )
 
 
-def _check_one(path: str, oracle, epsilon, strict, fmt, prefix) -> tuple[int, str, str]:
+def _check_one(path: str, oracle, epsilon, fmt, batch: bool) -> tuple[int, str, str]:
     """Check one case file; return its exit code, stdout text and stderr text."""
     try:
-        verdict = check_case(dsl.parse_case(_read(path)), oracle, epsilon, strict)
+        verdict = check_case(dsl.parse_case(_read(path)), oracle, epsilon)
     except _HANDLED as e:
-        code, message = _error(e, f"{prefix}{path}: ")
+        code, message = _error(e, f"{path}: ")
         return code, "", message
-    return (EXIT_FAIR if verdict.fair else EXIT_UNFAIR), _verdict_report(verdict, fmt, prefix), ""
+    report = _verdict_report(verdict, fmt, f"{path}: " if batch else "")
+    return (EXIT_FAIR if verdict.fair else EXIT_UNFAIR), report, ""
 
 
 def cmd_check(args) -> int:
     oracle = load_oracle(args.oracle)
     epsilon = _epsilon(args.epsilon)
-    strict = not args.lenient_edges
     batch = len(args.casefile) > 1
     worst = EXIT_FAIR
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         # map yields in argument order, so only this thread prints
         for code, out, err in pool.map(
-            lambda path: _check_one(
-                path, oracle, epsilon, strict, args.format, f"{path}: " if batch else ""
-            ),
+            lambda path: _check_one(path, oracle, epsilon, args.format, batch),
             args.casefile,
         ):
             if out:
@@ -158,7 +157,7 @@ def cmd_check(args) -> int:
 def cmd_derive(args) -> int:
     oracle = load_oracle(args.oracle)
     case = dsl.parse_case(_read(args.casefile))
-    judgment, proof = derive_counterfactual(case, oracle, not args.lenient_edges)
+    judgment, proof = derive_counterfactual(case, oracle)
     print(dsl.render_judgment(judgment))
     if args.emit_proof:
         try:
@@ -196,37 +195,33 @@ def cmd_verify_proof(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    result = check_proof(proof, strict=not args.lenient_edges)
+    result = check_proof(proof)
     if not result.ok:
         print(f"FAIL at step {result.step}: {result.code}: {result.reason}", file=sys.stderr)
         return 1
-    final = proof.conclusion()
-    if tuple(final.context) != (expected,):
+    if tuple(proof.conclusion().context) != (expected,):
         print("FAIL: proof does not conclude with this case's counterfactual", file=sys.stderr)
         return 1
     print(f"OK: {len(proof.steps)} steps replayed")
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 3, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cfcheck",
         description="Counterfactual fairness verification for probabilistic classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, oracle=True):
-        if oracle:
-            p.add_argument("--oracle", required=True, help="csv:PATH, db:PATH or cmd:COMMAND")
-        p.add_argument(
-            "--lenient-edges",
-            action="store_true",
-            help="allow edge cuts on edges absent from the factual graph",
-        )
-
     p = sub.add_parser("check", help="decide counterfactual fairness of case files")
     p.add_argument("casefile", nargs="+")
-    add_common(p)
+    p.add_argument("--oracle", required=True, help="csv:PATH, db:PATH or cmd:COMMAND")
     p.add_argument("--epsilon", default="0", help="fairness threshold (default 0: identity)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--jobs", type=int, default=1, help="verify multiple case files concurrently")
@@ -234,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="derive the counterfactual judgment and its proof")
     p.add_argument("casefile")
-    add_common(p)
+    p.add_argument("--oracle", required=True, help="csv:PATH, db:PATH or cmd:COMMAND")
     p.add_argument("--emit-proof", metavar="PATH", help="write the replayable proof file")
     p.set_defaults(func=cmd_derive)
 
@@ -246,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-proof", help="replay a proof file against a case")
     p.add_argument("prooffile")
     p.add_argument("casefile")
-    add_common(p, oracle=False)
     p.set_defaults(func=cmd_verify_proof)
 
     return parser

@@ -34,32 +34,22 @@ class MediateRelation:
     def __len__(self):
         return len(self._by_pair)
 
-    def __eq__(self, other):
-        if not isinstance(other, MediateRelation):
-            return NotImplemented
-        return self._by_pair == other._by_pair
-
 
 def mediate_closure(g: CausalGraph) -> MediateRelation:
-    """Compute all mediate-cause entries with their witness sets.
-
-    Witness sets are accumulated along a topological order: the witnesses of
-    (a, b) are the union of the witnesses of (a, x) over reached parents x
-    of b, plus b itself. Only nodes after a in the order can be reached.
-    """
+    """All mediate-cause entries: (v, v) with witnesses {v}, and each b != a
+    in Desc(a) with W(a, b) = (Desc(a) & Anc(b)) - {a}, Desc and Anc being
+    reflexive. Anc is built along the topological order, Desc along its reverse."""
     order = g.topological_order()
-    entries: dict[tuple[str, str], frozenset[str]] = {}
-    for i, a in enumerate(order):
-        reached: dict[str, set[str]] = {a: set()}
-        for b in order[i + 1 :]:
-            hits = [reached[x] for x in g.parents(b) if x in reached]
-            if hits:
-                reached[b] = {b}.union(*hits)
-        for b, m in reached.items():
-            entries[(a, b)] = frozenset(m)
-    for v in g.nodes:
-        entries[(v, v)] = frozenset({v})
-    return MediateRelation(entries)
+    anc: dict[str, frozenset[str]] = {}
+    for v in order:
+        anc[v] = frozenset({v}).union(*(anc[p] for p in g.parents(v)))
+    desc: dict[str, frozenset[str]] = {}
+    for v in reversed(order):
+        desc[v] = frozenset({v}).union(*(desc[c] for c in g.children(v)))
+    pairs = ((a, b) for a in order for b in desc[a])
+    return MediateRelation(
+        {(a, b): (desc[a] & anc[b]) - {a} if a != b else frozenset({a}) for a, b in pairs}
+    )
 
 
 def descendants(g: CausalGraph, a: str) -> frozenset[str]:

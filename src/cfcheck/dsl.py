@@ -150,8 +150,8 @@ class _Parser:
         self.toks = toks
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.i]  # advance never moves past eof
 
     def advance(self) -> Token:
         t = self.toks[self.i]

@@ -124,9 +124,7 @@ def candidate_judgment(case: Case, sigma: DataPoint, prob: Fraction) -> Judgment
     return Judgment(tuple(context), case.target, case.target_value, prob)
 
 
-def verify_candidate(
-    case: Case, candidate: Judgment, strict: bool = True
-) -> Union[Proof, CandidateFailure]:
+def verify_candidate(case: Case, candidate: Judgment) -> Union[Proof, CandidateFailure]:
     """Check that a candidate really is the counterfactual of the case.
 
     Applies weakening with the case's intervention expression, then erases
@@ -154,7 +152,7 @@ def verify_candidate(
 
     for edge in sorted(j.edge_items(), key=lambda e: (e.src, e.dst)):
         try:
-            record(RuleId.EDGE_CUT, edge, apply_tri_cut(j, (edge.src, edge.dst), strict))
+            record(RuleId.EDGE_CUT, edge, apply_tri_cut(j, (edge.src, edge.dst)))
         except RuleError as e:
             failures.append((edge, e.code, str(e)))
 
@@ -169,9 +167,7 @@ def verify_candidate(
     return Proof((candidate,), tuple(steps))
 
 
-def derive_counterfactual(
-    case: Case, oracle: ClassifierOracle, strict: bool = True
-) -> tuple[Judgment, Proof]:
+def derive_counterfactual(case: Case, oracle: ClassifierOracle) -> tuple[Judgment, Proof]:
     """Construct (or verify, if the case overrides the candidate) the
     counterfactual judgment and its proof."""
     if case.candidate_override is not None:
@@ -180,7 +176,7 @@ def derive_counterfactual(
         _, sigma = build_candidate(case)
     q = oracle.query(OracleQuery(sigma, case.target, case.target_value))
     candidate = candidate_judgment(case, sigma, q)
-    result = verify_candidate(case, candidate, strict)
+    result = verify_candidate(case, candidate)
     if isinstance(result, CandidateFailure):
         raise CandidateRejected(result)
     return result.conclusion(), result
@@ -201,12 +197,7 @@ def cf_verdict(
     return Verdict(difference <= epsilon, p, q, difference, epsilon, cf_judgment, proof)
 
 
-def check_case(
-    case: Case,
-    oracle: ClassifierOracle,
-    epsilon: Fraction = Fraction(0),
-    strict: bool = True,
-) -> Verdict:
+def check_case(case: Case, oracle: ClassifierOracle, epsilon: Fraction = Fraction(0)) -> Verdict:
     """Full pipeline: resolve the factual probability, derive the
     counterfactual, and compare."""
     factual_query = OracleQuery(case.factual, case.target, case.target_value)
@@ -222,5 +213,5 @@ def check_case(
             raise ConsistencyError(
                 f"case assumes factual probability {p} but the oracle answers {oracle_p}"
             )
-    cf_j, proof = derive_counterfactual(case, oracle, strict)
+    cf_j, proof = derive_counterfactual(case, oracle)
     return cf_verdict(p, cf_j.prob, epsilon, cf_j, proof)

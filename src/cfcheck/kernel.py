@@ -78,11 +78,9 @@ def apply_i_cut(j: Judgment) -> Judgment:
     return Judgment(remove_one(j.context, imposed), j.target, j.value, j.prob)
 
 
-def apply_tri_cut(j: Judgment, edge: tuple[str, str], strict: bool = True) -> Judgment:
-    """Erase one causal edge that does not enter the intervention variable.
-
-    In strict mode the edge must also belong to the bracketed factual graph.
-    """
+def apply_tri_cut(j: Judgment, edge: tuple[str, str]) -> Judgment:
+    """Erase one causal edge of the bracketed factual graph that does not
+    enter the intervention variable."""
     item = _require_intervention(j)
     src, dst = edge
     if dst == item.expr.intervention.var:
@@ -90,7 +88,7 @@ def apply_tri_cut(j: Judgment, edge: tuple[str, str], strict: bool = True) -> Ju
             "edge-enters-intervention",
             f"edge {src} -> {dst} enters the intervention variable",
         )
-    if strict and (src, dst) not in item.expr.graph.edges:
+    if (src, dst) not in item.expr.graph.edges:
         raise RuleError(
             "edge-not-in-factual-graph",
             f"edge {src} -> {dst} is not in the factual graph",
@@ -196,7 +194,7 @@ def _fail(step: int, code: str, reason: str) -> ProofCheck:
     return ProofCheck(False, step, code, reason)
 
 
-def check_proof(p: Proof, strict: bool = True) -> ProofCheck:
+def check_proof(p: Proof) -> ProofCheck:
     """Replay every step of a proof from its assumptions.
 
     A proof passes iff each step's premise references only earlier
@@ -228,7 +226,7 @@ def check_proof(p: Proof, strict: bool = True) -> ProofCheck:
             elif step.rule is RuleId.EDGE_CUT:
                 if not isinstance(item, EdgeItem):
                     return _fail(k, "bad-item", "edge cut needs an edge item")
-                got = apply_tri_cut(prem, (item.src, item.dst), strict)
+                got = apply_tri_cut(prem, (item.src, item.dst))
             else:  # RuleId.VALUE_CUT, the last of the four rules
                 if not isinstance(item, AttrItem):
                     return _fail(k, "bad-item", "value cut needs an attribution item")

@@ -172,19 +172,17 @@ class ExternalCommandOracle:
     reads one JSON response line `{"probability": "<decimal or n/m>"}`.
     """
 
-    def __init__(self, argv: list[str], timeout: float | None = None):
+    def __init__(self, argv: list[str]):
         if not argv:
             raise OracleError("empty oracle command")
         self.argv = list(argv)
-        if timeout is None:
-            env_ms = os.environ.get("CF_ORACLE_TIMEOUT_MS")
-            try:
-                timeout = float(env_ms) / 1000.0 if env_ms else DEFAULT_TIMEOUT_S
-            except ValueError:
-                timeout = float("nan")
-            if not 0 < timeout < float("inf"):
-                raise OracleError(f"CF_ORACLE_TIMEOUT_MS is not a positive number: {env_ms!r}")
-        self.timeout = timeout
+        env_ms = os.environ.get("CF_ORACLE_TIMEOUT_MS")
+        try:
+            self.timeout = float(env_ms) / 1000.0 if env_ms else DEFAULT_TIMEOUT_S
+        except ValueError:
+            self.timeout = float("nan")
+        if not 0 < self.timeout < float("inf"):
+            raise OracleError(f"CF_ORACLE_TIMEOUT_MS is not a positive number: {env_ms!r}")
 
     def query(self, q: OracleQuery) -> Fraction:
         from .dsl import ParseError, parse_probability_literal, render_valueterm

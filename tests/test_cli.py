@@ -391,5 +391,72 @@ def test_check_batch_prints_in_argument_order(capsys, data_dir, tmp_path):
     assert out_lines[0].endswith("FAIR p=0.6 q=0.6 |p-q|=0 epsilon=0")
     err_lines = err.splitlines()
     assert len(err_lines) == 2
-    assert err_lines[0].startswith(f"{paths[1]}: ") and "parse error" in err_lines[0]
-    assert err_lines[1].startswith(f"{paths[2]}: ") and "not a counterfactual" in err_lines[1]
+    assert err_lines[0].startswith(f"{paths[1]}: parse error: ")
+    assert err_lines[1].startswith(f"{paths[2]}: candidate is not a counterfactual")
+
+
+def test_verify_proof_rejects_edge_cut_outside_factual_graph(
+    capsys, loan_cfc, loan_proof_doc, tmp_path
+):
+    # the assumption carries SAT -> Loan, an edge the factual graph lacks
+    loan_proof_doc["assumptions"][0] = "SAT -> Loan, " + loan_proof_doc["assumptions"][0]
+    for step in loan_proof_doc["steps"][1:]:
+        step["premise"] += 1
+    loan_proof_doc["steps"].insert(1, {"rule": "edge-cut", "item": "SAT -> Loan", "premise": 1})
+    proof_path = tmp_path / "spurious.proof.json"
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    code, out, err = run(capsys, "verify-proof", str(proof_path), loan_cfc)
+    assert code == 1 and "OK" not in out
+    assert "FAIL at step 1: edge-not-in-factual-graph" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["check", "LOAN"], id="missing-oracle"),
+        pytest.param(["check", "LOAN", "--oracle", "DB", "--lenient-edges"], id="lenient-edges"),
+        pytest.param(["derive", "LOAN", "--oracle", "DB", "--bogus"], id="bogus"),
+        pytest.param(["check", "LOAN", "--oracle", "DB", "--jobs", "x"], id="jobs-x"),
+    ],
+)
+def test_usage_errors_exit_3(capsys, loan_cfc, data_dir, argv):
+    subst = {"LOAN": loan_cfc, "DB": f"db:{data_dir / 'loan.db'}"}
+    with pytest.raises(SystemExit) as exc:
+        main([subst.get(a, a) for a in argv])
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0 and "--oracle" in capsys.readouterr().out
+
+
+UNDECODABLE = b"\xff\xfe not UTF-8\n"
+
+
+@pytest.mark.parametrize("kind", ["case", "proof", "csv", "db"])
+def test_undecodable_input_file_exit_3(capsys, loan_cfc, data_dir, loan_proof_doc, tmp_path, kind):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(UNDECODABLE)
+    db = f"db:{data_dir / 'loan.db'}"
+    argv = {
+        "case": ["check", str(bad), "--oracle", db],
+        "proof": ["verify-proof", str(bad), loan_cfc],
+        "csv": ["check", loan_cfc, "--oracle", f"csv:{bad}"],
+        "db": ["check", loan_cfc, "--oracle", f"db:{bad}"],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"{str(bad)!r} is not UTF-8 text" in err
+
+
+def test_check_batch_reports_only_the_undecodable_file(capsys, loan_cfc, data_dir, tmp_path):
+    bad = tmp_path / "bad.cfc"
+    bad.write_bytes(UNDECODABLE)
+    paths = [loan_cfc, str(bad), loan_cfc]
+    code, out, err = run(capsys, "check", *paths, "--oracle", f"db:{data_dir / 'loan.db'}")
+    assert code == 3
+    assert [line.split(": ")[0] for line in out.splitlines()] == [loan_cfc] * 3 + [loan_cfc] * 3
+    assert err.splitlines() == [f"{bad}: {str(bad)!r} is not UTF-8 text: byte 0: invalid start byte"]

@@ -129,10 +129,8 @@ def test_tri_cut_strict_vs_lenient(candidate, loan_graph, loan_factual):
     expr = InterventionExpr(loan_graph, loan_factual, Intervention("MS", Atom("div")))
     j = apply_c_weakening(j, expr)
     with pytest.raises(RuleError) as exc:
-        apply_tri_cut(j, ("SAT", "Loan"), strict=True)
+        apply_tri_cut(j, ("SAT", "Loan"))
     assert exc.value.code == "edge-not-in-factual-graph"
-    out = apply_tri_cut(j, ("SAT", "Loan"), strict=False)
-    assert spurious not in out.context
 
 
 def test_tri_cut_edge_absent(weakened):
