@@ -10,16 +10,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .closure import descendants, intervene_graph
-from .kernel import (
-    Proof,
-    ProofStep,
-    RuleError,
-    RuleId,
-    apply_c_weakening,
-    apply_i_cut,
-    apply_tri_cut,
-    apply_v_cut,
-)
+from .kernel import Proof, ProofStep, RuleError, RuleId, apply_step
 from .model import (
     AttrItem,
     Attribution,
@@ -74,6 +65,8 @@ class Case:
             raise InvalidModel("intervention variable must differ from the target")
         if self.target in variables_of(self.factual):
             raise InvalidModel(f"target {self.target} attributed in the factual data point")
+        if self.target in variables_of(self.candidate_override or DataPoint(())):
+            raise InvalidModel(f"target {self.target} attributed in the candidate")
         if self.factual_prob is not None:
             object.__setattr__(self, "factual_prob", check_probability(self.factual_prob))
 
@@ -127,40 +120,34 @@ def candidate_judgment(case: Case, sigma: DataPoint, prob: Fraction) -> Judgment
 def verify_candidate(case: Case, candidate: Judgment) -> Union[Proof, CandidateFailure]:
     """Check that a candidate really is the counterfactual of the case.
 
-    Applies weakening with the case's intervention expression, then erases
-    exhaustively: the imposed attribution first, then edges in lexicographic
-    order, then remaining attributions in stored order. Succeeds iff only
-    the intervention expression remains.
+    Applies, each through the kernel's `apply_step`, weakening with the
+    case's intervention expression, then erases exhaustively: the imposed
+    attribution first, then edges in lexicographic order, then remaining
+    attributions in stored order. Succeeds iff only the intervention
+    expression remains.
     """
     if candidate.intervention_item() is not None:
         raise InvalidModel("candidate must not carry an intervention expression")
-    expr = case.intervention_expr()
+    imposed = AttrItem(Attribution(case.intervention.var, case.intervention.value))
+    attrs = candidate.attr_items()
+    plan: list[tuple[RuleId, ContextItem]] = [
+        (RuleId.WEAKENING, InterventionItem(case.intervention_expr()))
+    ]
+    if imposed in attrs:
+        attrs.remove(imposed)  # the intervention cut erases exactly one copy
+        plan.append((RuleId.INTERVENTION_CUT, imposed))
+    edges = sorted(candidate.edge_items(), key=lambda e: (e.src, e.dst))
+    plan += [(RuleId.EDGE_CUT, e) for e in edges] + [(RuleId.VALUE_CUT, a) for a in attrs]
+    j = candidate
     steps: list[ProofStep] = []
     failures: list[tuple[ContextItem, str, str]] = []
-
-    j = apply_c_weakening(candidate, expr)
-    steps.append(ProofStep(RuleId.WEAKENING, InterventionItem(expr), 0, j))
-
-    def record(rule: RuleId, item: ContextItem, result: Judgment):
-        nonlocal j
-        j = result
-        steps.append(ProofStep(rule, item, len(steps), j))
-
-    imposed = AttrItem(Attribution(case.intervention.var, case.intervention.value))
-    if imposed in j.context:
-        record(RuleId.INTERVENTION_CUT, imposed, apply_i_cut(j))
-
-    for edge in sorted(j.edge_items(), key=lambda e: (e.src, e.dst)):
+    for rule, item in plan:
         try:
-            record(RuleId.EDGE_CUT, edge, apply_tri_cut(j, (edge.src, edge.dst)))
+            j = apply_step(rule, j, item)
         except RuleError as e:
-            failures.append((edge, e.code, str(e)))
-
-    for attr_item in j.attr_items():
-        try:
-            record(RuleId.VALUE_CUT, attr_item, apply_v_cut(j, attr_item.attribution))
-        except RuleError as e:
-            failures.append((attr_item, e.code, str(e)))
+            failures.append((item, e.code, str(e)))
+        else:
+            steps.append(ProofStep(rule, item, len(steps), j))
 
     if failures:
         return CandidateFailure(tuple(failures))

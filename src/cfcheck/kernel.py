@@ -194,43 +194,52 @@ def _fail(step: int, code: str, reason: str) -> ProofCheck:
     return ProofCheck(False, step, code, reason)
 
 
+def apply_step(rule: RuleId, premise: Judgment, item: Optional[ContextItem]) -> Judgment:
+    """Apply one rule to a premise. `item` names what the rule adds or
+    erases; an item of the wrong kind is a `bad-item` RuleError."""
+    if rule is RuleId.WEAKENING:
+        if not isinstance(item, InterventionItem):
+            raise RuleError("bad-item", "weakening needs an intervention item")
+        return apply_c_weakening(premise, item.expr)
+    if rule is RuleId.INTERVENTION_CUT:
+        got = apply_i_cut(premise)
+        iv = premise.intervention_item().expr.intervention
+        if item != AttrItem(Attribution(iv.var, iv.value)):
+            raise RuleError("bad-item", "intervention cut needs the imposed attribution as item")
+        return got
+    if rule is RuleId.EDGE_CUT:
+        if not isinstance(item, EdgeItem):
+            raise RuleError("bad-item", "edge cut needs an edge item")
+        return apply_tri_cut(premise, (item.src, item.dst))
+    if not isinstance(item, AttrItem):  # RuleId.VALUE_CUT, the last of the four rules
+        raise RuleError("bad-item", "value cut needs an attribution item")
+    return apply_v_cut(premise, item.attribution)
+
+
 def check_proof(p: Proof) -> ProofCheck:
     """Replay every step of a proof from its assumptions.
 
-    A proof passes iff each step's premise references only earlier
-    judgments, the rule's preconditions hold, and re-applying the rule
-    reproduces the step's conclusion exactly wherever one is recorded.
+    A proof passes iff no assumption carries an intervention expression
+    (one may enter only by weakening), each step's premise references only
+    earlier judgments, the rule's preconditions hold, and re-applying the
+    rule reproduces the step's conclusion exactly wherever one is recorded.
     Premises are always the replayed judgments, never the recorded ones.
     """
+    if any(a.intervention_item() is not None for a in p.assumptions):
+        reason = "an assumption carries an intervention expression"
+        return ProofCheck(False, None, "intervention-in-assumption", reason)
     base = len(p.assumptions)
     derived = list(p.assumptions)
     for k, step in enumerate(p.steps):
-        idx, item = step.premise, step.item
+        idx = step.premise
         if idx is None:
             return _fail(k, "premise-missing", "step requires a premise index")
         if idx < 0 or idx >= base + len(p.steps):
             return _fail(k, "premise-out-of-range", f"premise index {idx} out of range")
         if idx >= base + k:
             return _fail(k, "premise-order", f"premise index {idx} does not precede step {k}")
-        prem = derived[idx]
         try:
-            if step.rule is RuleId.WEAKENING:
-                if not isinstance(item, InterventionItem):
-                    return _fail(k, "bad-item", "weakening needs an intervention item")
-                got = apply_c_weakening(prem, item.expr)
-            elif step.rule is RuleId.INTERVENTION_CUT:
-                got = apply_i_cut(prem)
-                iv = prem.intervention_item().expr.intervention
-                if item is not None and item != AttrItem(Attribution(iv.var, iv.value)):
-                    return _fail(k, "bad-item", "recorded item is not the imposed attribution")
-            elif step.rule is RuleId.EDGE_CUT:
-                if not isinstance(item, EdgeItem):
-                    return _fail(k, "bad-item", "edge cut needs an edge item")
-                got = apply_tri_cut(prem, (item.src, item.dst))
-            else:  # RuleId.VALUE_CUT, the last of the four rules
-                if not isinstance(item, AttrItem):
-                    return _fail(k, "bad-item", "value cut needs an attribution item")
-                got = apply_v_cut(prem, item.attribution)
+            got = apply_step(step.rule, derived[idx], step.item)
         except RuleError as e:
             return _fail(k, e.code, str(e))
         if step.conclusion is not None and got != step.conclusion:

@@ -395,6 +395,19 @@ def test_check_batch_prints_in_argument_order(capsys, data_dir, tmp_path):
     assert err_lines[1].startswith(f"{paths[2]}: candidate is not a counterfactual")
 
 
+def test_check_json_batch_is_one_object_per_line(capsys, loan_cfc, data_dir, tmp_path):
+    bad = tmp_path / "bad.cfc"
+    bad.write_text("graph { A -> ; }")
+    paths = [loan_cfc, str(bad), loan_cfc]
+    code, out, _ = run(
+        capsys, "check", "--format", "json", *paths, "--oracle", f"db:{data_dir / 'loan.db'}"
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert [json.loads(line)["case"] for line in lines] == [paths[0], paths[2]]
+
+
 def test_verify_proof_rejects_edge_cut_outside_factual_graph(
     capsys, loan_cfc, loan_proof_doc, tmp_path
 ):

@@ -108,6 +108,9 @@ def test_parse_case_semantic_errors_have_spans():
         "graph { A -> B; }\nfactual { A = x; B = w; }\nintervene A = z;\ntarget B = w;",
         # target equals intervention variable
         "graph { A -> B; }\nfactual { }\nintervene B = z;\ntarget B = w;",
+        # target inside the candidate
+        "graph { A -> B; }\nfactual { A = x; }\nintervene A = z;\ntarget B = w;\n"
+        "candidate { A = z; B = w; }",
     ]
     for text in bad:
         with pytest.raises(ParseError) as exc:

@@ -158,6 +158,19 @@ def test_verify_candidate_rejects_edge_into_intervention(loan_case):
     assert failure.items[0][1] == "edge-enters-intervention"
 
 
+def test_verify_candidate_cuts_one_copy_of_the_imposed_attribution(loan_case):
+    _, sigma = build_candidate(loan_case)
+    candidate = candidate_judgment(loan_case, sigma, Fraction(3, 5))
+    imposed = AttrItem(Attribution("MS", Atom("div")))
+    doubled = Judgment(
+        candidate.context + (imposed,), candidate.target, candidate.value, candidate.prob
+    )
+    failure = verify_candidate(loan_case, doubled)
+    assert isinstance(failure, CandidateFailure)
+    (item, code, _), = failure.items
+    assert item == imposed and code == "attribution-not-factual"
+
+
 def test_candidate_override_rejected(loan_case, loan_graph, loan_factual):
     case = Case(
         loan_graph,

@@ -357,6 +357,11 @@ def _first(proof, rule):
             id="bad-item-intervention-cut",
         ),
         pytest.param(
+            lambda p: (_first(p, RuleId.INTERVENTION_CUT), {"item": None}),
+            "bad-item",
+            id="null-item-intervention-cut",
+        ),
+        pytest.param(
             lambda p: (
                 _first(p, RuleId.EDGE_CUT),
                 {"item": AttrItem(Attribution("SAT", Atom("1100")))},
@@ -392,3 +397,13 @@ def test_check_proof_failure_branches(loan_proof, edit, code):
     index, changes = edit(loan_proof)
     result = check_proof(_mutate_step(loan_proof, index, **changes))
     assert not result.ok and result.step == index and result.code == code
+
+
+@pytest.mark.parametrize("prob", [Fraction(3, 5), Fraction(1, 100)])
+def test_check_proof_rejects_intervention_in_assumption(loan_proof, prob):
+    # the counterfactual judgment assumed outright, with no weakening step
+    final = loan_proof.conclusion()
+    assumed = Judgment(final.context, final.target, final.value, prob)
+    result = check_proof(Proof((assumed,), ()))
+    assert not result.ok and result.step is None
+    assert result.code == "intervention-in-assumption"
