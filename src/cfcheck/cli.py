@@ -130,8 +130,8 @@ def _check_one(path: str, oracle, epsilon, fmt, batch: bool) -> tuple[int, str, 
     """Check one case file; return its exit code, stdout text and stderr text."""
     try:
         verdict = check_case(dsl.parse_case(_read(path)), oracle, epsilon)
-    except _HANDLED as e:
-        code, message = _error(e, f"{path}: ")
+    except _HANDLED as e:  # a ConfigError here comes from _read, whose message names the file
+        code, message = _error(e, "" if isinstance(e, ConfigError) else f"{path}: ")
         return code, "", message
     report = _verdict_report(verdict, path, fmt, batch)
     return (EXIT_FAIR if verdict.fair else EXIT_UNFAIR), report, ""
@@ -176,8 +176,7 @@ def cmd_closure(args) -> int:
     if args.of:
         print(", ".join(sorted(descendants(graph, args.of))))
         return 0
-    relation = mediate_closure(graph)
-    for src, dst, witnesses in sorted(relation.entries):
+    for src, dst, witnesses in mediate_closure(graph):
         print(f"{src} -> {dst} via {{{', '.join(sorted(witnesses))}}}")
     return 0
 
@@ -215,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True, help="csv:PATH, db:PATH or cmd:COMMAND")
     p.add_argument("--epsilon", default="0", help="fairness threshold (default 0: identity)")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=int, default=1, help="verify multiple case files concurrently")
+    p.add_argument("--jobs", type=int, default=1, help="check in threads; helps only cmd: oracles")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("derive", help="derive the counterfactual judgment and its proof")

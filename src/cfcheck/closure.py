@@ -5,7 +5,7 @@ edge-erasing graph intervention.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .model import CausalGraph
 
@@ -16,23 +16,35 @@ class MediateRelation:
     Each entry (a, b, M) records that a is a (possibly mediate) cause of b
     with witness set M: the union, over all a-to-b paths, of the path nodes
     excluding a. Every node carries the reflexive entry (v, v, {v}).
+
+    Only the reflexive Anc and Desc maps are stored; each witness set is
+    computed as W(a, b) = (Desc(a) & Anc(b)) - {a} when it is asked for.
+    Iteration yields entries sorted by cause, then by effect.
     """
 
-    def __init__(self, entries: dict[tuple[str, str], frozenset[str]]):
-        self._by_pair = dict(entries)
+    def __init__(self, anc: dict[str, frozenset[str]], desc: dict[str, frozenset[str]]):
+        self._anc = anc
+        self._desc = desc
 
     @property
     def entries(self) -> frozenset[tuple[str, str, frozenset[str]]]:
-        return frozenset((a, b, m) for (a, b), m in self._by_pair.items())
+        return frozenset(self)
 
     def pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self._by_pair)
+        return frozenset((a, b) for a, d in self._desc.items() for b in d)
 
     def witnesses(self, a: str, b: str) -> Optional[frozenset[str]]:
-        return self._by_pair.get((a, b))
+        if b not in self._desc.get(a, ()):
+            return None
+        return frozenset({a}) if a == b else (self._desc[a] & self._anc[b]) - {a}
+
+    def __iter__(self) -> Iterator[tuple[str, str, frozenset[str]]]:
+        for a in sorted(self._desc):
+            for b in sorted(self._desc[a]):
+                yield a, b, self.witnesses(a, b)
 
     def __len__(self):
-        return len(self._by_pair)
+        return sum(map(len, self._desc.values()))
 
 
 def mediate_closure(g: CausalGraph) -> MediateRelation:
@@ -46,10 +58,7 @@ def mediate_closure(g: CausalGraph) -> MediateRelation:
     desc: dict[str, frozenset[str]] = {}
     for v in reversed(order):
         desc[v] = frozenset({v}).union(*(desc[c] for c in g.children(v)))
-    pairs = ((a, b) for a in order for b in desc[a])
-    return MediateRelation(
-        {(a, b): (desc[a] & anc[b]) - {a} if a != b else frozenset({a}) for a, b in pairs}
-    )
+    return MediateRelation(anc, desc)
 
 
 def descendants(g: CausalGraph, a: str) -> frozenset[str]:

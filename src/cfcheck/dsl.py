@@ -134,11 +134,7 @@ def _decimal_to_fraction(text: str, span: SourceSpan) -> Fraction:
 
 def parse_probability_literal(text: str) -> Fraction:
     """Parse a standalone probability: a decimal or a `num/den` rational."""
-    toks = tokenize(text)
-    p = _Parser(toks)
-    value = p.probability()
-    p.expect("eof")
-    return value
+    return _parse_all(text, _Parser.probability)
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +392,21 @@ class _Parser:
 # Public parse entry points.
 
 
+def _parse_all(text: str, rule, what: Optional[str] = None):
+    """Parse the whole of `text` with one parser rule."""
+    p = _Parser(tokenize(text))
+    result = rule(p)
+    p.expect("eof", what)
+    return result
+
+
 def parse_case(text: str) -> Case:
     p = _Parser(tokenize(text))
     return p.case(p.graph_block())
 
 
 def parse_graph(text: str) -> CausalGraph:
-    p = _Parser(tokenize(text))
-    g = p.graph_block()
-    p.expect("eof", "end of graph file")
-    return g
+    return _parse_all(text, _Parser.graph_block, "end of graph file")
 
 
 def parse_case_or_graph(text: str) -> Union[Case, CausalGraph]:
@@ -416,17 +417,11 @@ def parse_case_or_graph(text: str) -> Union[Case, CausalGraph]:
 
 
 def parse_judgment(text: str) -> Judgment:
-    p = _Parser(tokenize(text))
-    j = p.judgment()
-    p.expect("eof", "end of judgment")
-    return j
+    return _parse_all(text, _Parser.judgment, "end of judgment")
 
 
 def parse_valueterm(text: str) -> ValueTerm:
-    p = _Parser(tokenize(text))
-    t = p.valueterm()
-    p.expect("eof", "end of value term")
-    return t
+    return _parse_all(text, _Parser.valueterm, "end of value term")
 
 
 def parse_judgment_db(text: str) -> list[Judgment]:
@@ -484,22 +479,16 @@ def render_context_item(item: ContextItem) -> str:
 
 
 def parse_context_item(text: str) -> ContextItem:
-    p = _Parser(tokenize(text))
-    item = p.context_item()
-    p.expect("eof", "end of context item")
-    return item
+    return _parse_all(text, _Parser.context_item, "end of context item")
 
 
 def render_judgment(j: Judgment) -> str:
     """Canonical rendering: intervention item, edges sorted, then loose
     attributions in stored order."""
-    parts: list[str] = []
     item = j.intervention_item()
-    if item is not None:
-        parts.append(render_intervention_expr(item.expr))
-    parts += [f"{e.src} -> {e.dst}" for e in sorted(j.edge_items(), key=lambda e: (e.src, e.dst))]
-    parts += [render_attribution(a.attribution) for a in j.attr_items()]
-    lhs = ", ".join(parts)
+    items = [] if item is None else [item]
+    items += sorted(j.edge_items(), key=lambda e: (e.src, e.dst))
+    lhs = ", ".join(map(render_context_item, items + j.attr_items()))
     rhs = f"|- {j.target} = {render_valueterm(j.value)} @ {render_probability(j.prob)}"
     return f"{lhs} {rhs}" if lhs else rhs
 

@@ -190,6 +190,8 @@ def test_closure_full_listing(capsys, loan_cfc):
     assert len(lines) == 25
     assert "MS -> Loan via {Experience, GAI, Loan}" in lines
     assert "Loan -> Loan via {Loan}" in lines
+    pairs = [tuple(line.split(" via ")[0].split(" -> ")) for line in lines]
+    assert pairs == sorted(pairs)
 
 
 def test_closure_edgeless_graph(capsys, tmp_path):
@@ -472,4 +474,14 @@ def test_check_batch_reports_only_the_undecodable_file(capsys, loan_cfc, data_di
     code, out, err = run(capsys, "check", *paths, "--oracle", f"db:{data_dir / 'loan.db'}")
     assert code == 3
     assert [line.split(": ")[0] for line in out.splitlines()] == [loan_cfc] * 3 + [loan_cfc] * 3
-    assert err.splitlines() == [f"{bad}: {str(bad)!r} is not UTF-8 text: byte 0: invalid start byte"]
+    assert err.splitlines() == [f"{str(bad)!r} is not UTF-8 text: byte 0: invalid start byte"]
+
+
+def test_check_batch_names_a_missing_file_once(capsys, loan_cfc, data_dir, tmp_path):
+    missing = str(tmp_path / "missing.cfc")
+    paths = [loan_cfc, missing, loan_cfc]
+    code, out, err = run(capsys, "check", *paths, "--oracle", f"db:{data_dir / 'loan.db'}")
+    assert code == 3
+    assert [line.split(": ")[0] for line in out.splitlines()] == [loan_cfc] * 6
+    err_lines = err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].count("missing.cfc") == 1

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -70,6 +71,30 @@ def test_closure_matches_brute_force_randomized():
         assert rel.pairs() == set(expected)
         for (a, b), m in expected.items():
             assert rel.witnesses(a, b) == m
+        assert list(rel) == sorted((a, b, m) for (a, b), m in expected.items())
+        assert len(rel) == len(expected)
+
+
+def test_closure_keeps_no_witness_table():
+    # the ROADMAP generator graph: vi -> vj for j in i+1..i+5 at probability 0.6
+    n = 200
+    rng = random.Random(n)
+    nodes = [f"v{i}" for i in range(n)]
+    edges = {
+        (nodes[i], nodes[j])
+        for i in range(n)
+        for j in range(i + 1, min(n, i + 6))
+        if rng.random() < 0.6
+    }
+    g = CausalGraph(frozenset(nodes), frozenset(edges))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in mediate_closure(g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 590 and count == len(mediate_closure(g))
+    assert peak < 16 * 2**20
 
 
 def test_descendant_properties_randomized():
