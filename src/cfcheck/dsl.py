@@ -134,7 +134,7 @@ def _decimal_to_fraction(text: str, span: SourceSpan) -> Fraction:
 
 def parse_probability_literal(text: str) -> Fraction:
     """Parse a standalone probability: a decimal or a `num/den` rational."""
-    return _parse_all(text, _Parser.probability)
+    return _parse_all(text, _Parser.probability, "end of probability")
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ class _Parser:
 # Public parse entry points.
 
 
-def _parse_all(text: str, rule, what: Optional[str] = None):
+def _parse_all(text: str, rule, what: str):
     """Parse the whole of `text` with one parser rule."""
     p = _Parser(tokenize(text))
     result = rule(p)

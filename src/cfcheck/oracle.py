@@ -12,6 +12,8 @@ import io
 import json
 import os
 import subprocess
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol
@@ -70,11 +72,15 @@ class CsvFrequencyOracle:
     """Answers queries by exact conditional frequency over a loaded table.
 
     Cells are opaque tokens; rows with empty cells are rejected at load.
+    Each column numbers its distinct tokens in first-seen order and keeps
+    one bitset per bit of those numbers, holding the rows whose token's
+    number has that bit set. A query never visits the rows.
     """
 
-    def __init__(self, columns: list[str], rows: list[dict[str, str]]):
-        self.columns = list(columns)
-        self.rows = [dict(r) for r in rows]
+    def __init__(self, columns: list[str], tokens: list[dict[str, int]], ids: list[array], n_rows: int):
+        self.all_rows = (1 << n_rows) - 1
+        self.tokens = {col: list(t) for col, t in zip(columns, tokens)}
+        self.planes = {col: _bit_planes(i, len(t)) for col, t, i in zip(columns, tokens, ids)}
 
     @classmethod
     def from_text(cls, text: str) -> "CsvFrequencyOracle":
@@ -85,21 +91,27 @@ class CsvFrequencyOracle:
             raise OracleError("empty CSV: missing header")
         if len(set(header)) != len(header) or any(not c for c in header):
             raise OracleError(f"invalid CSV header: {header}")
-        rows = []
+        tokens: list[dict[str, int]] = [{} for _ in header]
+        ids = [array("I") for _ in header]
+        n_rows = 0
         for lineno, raw in enumerate(reader, start=2):
             if not raw:
                 continue
             if len(raw) != len(header):
                 raise OracleError(f"CSV line {lineno}: expected {len(header)} cells, got {len(raw)}")
-            for cell in raw:
-                if cell == "":
-                    raise OracleError(f"CSV line {lineno}: empty cell")
-                try:
-                    check_token(cell)
-                except InvalidModel:
-                    raise OracleError(f"CSV line {lineno}: cell {cell!r} is not a plain token")
-            rows.append(dict(zip(header, raw)))
-        return cls(header, rows)
+            for cell, seen, col_ids in zip(raw, tokens, ids):
+                i = seen.get(cell)
+                if i is None:
+                    if cell == "":
+                        raise OracleError(f"CSV line {lineno}: empty cell")
+                    try:
+                        check_token(cell)
+                    except InvalidModel:
+                        raise OracleError(f"CSV line {lineno}: cell {cell!r} is not a plain token")
+                    i = seen[cell] = len(seen)
+                col_ids.append(i)
+            n_rows += 1
+        return cls(header, tokens, ids, n_rows)
 
     @classmethod
     def from_path(cls, path: str) -> "CsvFrequencyOracle":
@@ -107,20 +119,48 @@ class CsvFrequencyOracle:
             return cls.from_text(f.read())
 
     def query(self, q: OracleQuery) -> Fraction:
-        known = set(self.columns)
         for var in sorted(variables_of(q.attributions) | {q.target}):
-            if var not in known:
+            if var not in self.tokens:
                 raise OracleError(f"unknown column: {var}")
-        denominator = 0
-        numerator = 0
-        for row in self.rows:
-            if all(value_matches(a.value, row[a.var]) for a in q.attributions):
-                denominator += 1
-                if value_matches(q.target_value, row[q.target]):
-                    numerator += 1
+        rows = self.all_rows
+        for a in q.attributions:
+            rows &= self._rows_matching(a.var, a.value)
+        denominator = rows.bit_count()
         if denominator == 0:
             raise UndefinedProbability("no rows match the query attributions")
+        numerator = (rows & self._rows_matching(q.target, q.target_value)).bit_count()
         return Fraction(numerator, denominator)
+
+    def _rows_matching(self, column: str, term: ValueTerm) -> int:
+        """Rows whose cell in `column` satisfies `term`: the union over the
+        smaller of the matching and non-matching token sets (complemented
+        for the latter) of each token's rows, the AND of its bit planes."""
+        hits = [value_matches(term, token) for token in self.tokens[column]]
+        flip = 2 * sum(hits) > len(hits)
+        rows = 0
+        for i, hit in enumerate(hits):
+            if hit != flip:
+                mask = self.all_rows
+                for k, plane in enumerate(self.planes[column]):
+                    mask &= plane if i >> k & 1 else self.all_rows ^ plane
+                rows |= mask
+        return self.all_rows ^ rows if flip else rows
+
+
+def _bit_planes(ids: array, distinct: int) -> list[int]:
+    """Plane k of a column: the bit of row i is set when bit k of `ids[i]`
+    is. One byte of every packed id, mapped to binary digits, is parsed by
+    `int(..., 2)` in linear time (a per-row `|= 1 << i` is quadratic). The
+    first row lands on the highest bit; counts do not depend on the order."""
+    if sys.byteorder == "big":
+        ids.byteswap()
+    packed = ids.tobytes()
+    planes = []
+    for k in range((distinct - 1).bit_length() if distinct else 0):
+        digits = bytes(b"01"[b >> k % 8 & 1] for b in range(256))
+        column_byte = packed[k // 8 :: ids.itemsize]
+        planes.append(int(column_byte.translate(digits), 2))
+    return planes
 
 
 # ---------------------------------------------------------------------------

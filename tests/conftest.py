@@ -1,4 +1,7 @@
+import csv
+import io
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,11 @@ from cfcheck import (
     CausalGraph,
     DataPoint,
     Intervention,
+    OracleError,
+    OracleQuery,
+    UndefinedProbability,
+    value_matches,
+    variables_of,
 )
 from cfcheck.engine import Case
 
@@ -105,3 +113,24 @@ def brute_force_closure(g: CausalGraph) -> dict[tuple[str, str], frozenset[str]]
             if found:
                 entries[(a, b)] = frozenset().union(*(set(p[1:]) for p in found))
     return entries
+
+
+def brute_force_frequency(text: str, q: OracleQuery) -> Fraction:
+    """Independent oracle for `CsvFrequencyOracle.query`: read the CSV into
+    one dict per row and scan every row, testing each cell."""
+    reader = csv.reader(io.StringIO(text))
+    columns = next(reader)
+    rows = [dict(zip(columns, raw)) for raw in reader if raw]
+    for var in sorted(variables_of(q.attributions) | {q.target}):
+        if var not in columns:
+            raise OracleError(f"unknown column: {var}")
+    denominator = 0
+    numerator = 0
+    for row in rows:
+        if all(value_matches(a.value, row[a.var]) for a in q.attributions):
+            denominator += 1
+            if value_matches(q.target_value, row[q.target]):
+                numerator += 1
+    if denominator == 0:
+        raise UndefinedProbability("no rows match the query attributions")
+    return Fraction(numerator, denominator)

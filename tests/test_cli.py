@@ -284,6 +284,13 @@ def test_non_ascii_digit_epsilon_is_parse_error(capsys, loan_cfc, data_dir):
     )
 
 
+def test_epsilon_with_trailing_input_expects_end_of_probability(capsys, loan_cfc, data_dir):
+    code, _, err = run(capsys, "check", loan_cfc, "--oracle", f"db:{data_dir / 'loan.db'}",
+                       "--epsilon", "0.5 0.3")
+    assert code == 3
+    assert "expected end of probability, found '0.3'" in err
+
+
 def test_non_ascii_digit_factual_prob_is_parse_error(capsys, data_dir, tmp_path):
     case = tmp_path / "superscript.cfc"
     case.write_text(

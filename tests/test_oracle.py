@@ -1,9 +1,13 @@
+import functools
 import random
+import re
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cfcheck import (
     Atom,
@@ -22,6 +26,7 @@ from cfcheck import (
     value_matches,
 )
 from cfcheck.dsl import parse_judgment_db
+from conftest import brute_force_frequency
 
 
 def dp(*pairs):
@@ -127,6 +132,115 @@ def test_csv_matches_brute_force_randomized():
         if matching:
             p = oracle.query(q)
             assert 0 <= p <= 1
+
+
+def _sum(members):
+    return Sum(tuple(members))
+
+
+@functools.lru_cache(maxsize=None)
+def value_terms(atoms: int):
+    """Atoms `t0 .. t{atoms - 1}`, and sums and complements nested over them."""
+    return st.recursive(
+        st.integers(0, atoms - 1).map("t{}".format).map(Atom),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=3, unique=True).map(_sum),
+            inner.map(Complement),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def tables_with_queries(draw):
+    """CSV text of 0-300 rows, and queries over its columns.
+
+    Column j holds `distinct_j` tokens `t0, t1, ...` in a shuffled order, so
+    a column can need ids wider than one byte. Query atoms range a little
+    past each column's tokens, and one query in ten or so names the unknown
+    column `zz` as target or attribute.
+    """
+    n_rows = draw(st.integers(0, 300))
+    distinct = draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    columns = [f"c{j}" for j in range(len(distinct))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cells = []
+    for d in distinct:
+        col = [f"t{i % d}" for i in range(n_rows)]
+        rng.shuffle(col)
+        cells.append(col)
+    text = ",".join(columns) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+    atoms = dict(zip(columns, (d + 2 for d in distinct)))
+    unknown = st.sampled_from([False] * 9 + [True])
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        target = "zz" if draw(unknown) else draw(st.sampled_from(columns))
+        others = [c for c in columns if c != target]
+        conditioned = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+        if target != "zz" and draw(unknown):
+            conditioned.append("zz")
+        terms = [draw(value_terms(atoms.get(c, 3))) for c in [target] + conditioned]
+        queries.append(OracleQuery(dp(*zip(conditioned, terms[1:])), target, terms[0]))
+    return text, queries
+
+
+def _wide_column_table():
+    rows = "".join(f"t{i},t{i % 3},t{i % 7}\n" for i in range(300))
+    at = lambda *ks: Sum(tuple(Atom(f"t{k}") for k in ks))
+    return "c0,c1,c2\n" + rows, [
+        OracleQuery(dp(("c0", at(5, 257, 299, 300))), "c1", Atom("t2")),
+        OracleQuery(dp(("c0", Complement(at(0, 256, 270))), ("c2", Atom("t4"))), "c1", Atom("t0")),
+        OracleQuery(dp(("c1", Atom("t1"))), "c0", Complement(Complement(Atom("t298")))),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_queries())
+@example(_wide_column_table())
+@example(("c0,c1\n", [query([("c0", Atom("t0"))], target="c1", value=Atom("t0"))]))
+def test_csv_matches_row_scan(table):
+    text, queries = table
+    oracle = CsvFrequencyOracle.from_text(text)
+    for q in queries:
+        try:
+            expected = brute_force_frequency(text, q)
+        except OracleError as e:
+            with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+                oracle.query(q)
+        else:
+            assert oracle.query(q) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A,B\nx,y\nx,b-d\nx\n", "CSV line 3: cell 'b-d' is not a plain token"),
+        ("A,B\nx,y\n,y\nq,w,e\n", "CSV line 3: empty cell"),
+        ("A,B\n\nx,b-d\n,\n", "CSV line 3: cell 'b-d' is not a plain token"),
+        ("A,B\nx,\nb-d,y\n", "CSV line 2: empty cell"),
+    ],
+)
+def test_csv_reports_first_faulty_line(text, message):
+    with pytest.raises(OracleError) as e:
+        CsvFrequencyOracle.from_text(text)
+    assert str(e.value) == message
+
+
+def test_csv_load_retains_little_memory():
+    # 20k rows, 11 columns, one of them unique per row.
+    n = 20_000
+    text = "Id," + ",".join(f"A{j}" for j in range(10)) + "\n" + "".join(
+        f"r{i}," + ",".join(f"v{i % (j + 2)}" for j in range(10)) + "\n" for i in range(n)
+    )
+    tracemalloc.start()
+    try:
+        oracle = CsvFrequencyOracle.from_text(text)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * 2**20
+    assert oracle.query(query([("A0", Atom("v0"))], target="Id", value=Atom("r7"))) == 0
+    assert oracle.query(query([("Id", Atom("r7"))], target="A1", value=Atom("v1"))) == 1
 
 
 # ---------------------------------------------------------------------------
