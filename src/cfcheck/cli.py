@@ -2,7 +2,7 @@
 
 Exit codes: 0 fair (or success for non-verdict commands), 1 unfair or
 failed proof check, 2 candidate rejected as a counterfactual, 3 parse or
-configuration error, 4 oracle error.
+configuration error, 4 oracle error, 5 internal error (a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ EXIT_UNFAIR = 1
 EXIT_NOT_COUNTERFACTUAL = 2
 EXIT_CONFIG = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(Exception):
@@ -44,19 +45,20 @@ class ConfigError(Exception):
 
 
 # Every error a command reports: (exception types, exit code, message prefix).
+# The first row that matches wins; the last one catches what no other does.
 _ERRORS = (
     ((dsl.ParseError, dsl.ProofFormatError), EXIT_CONFIG, "parse error: "),
     ((InvalidModel, ConsistencyError, ConfigError), EXIT_CONFIG, ""),
     ((CandidateRejected,), EXIT_NOT_COUNTERFACTUAL, ""),
     ((OracleError,), EXIT_ORACLE, "oracle error: "),
+    ((Exception,), EXIT_INTERNAL, "internal error: {type}: "),
 )
-_HANDLED = tuple(t for types, _, _ in _ERRORS for t in types)
 
 
 def _error(e: Exception, head: str = "") -> tuple[int, str]:
-    """The exit code and the stderr message of a handled error."""
+    """The exit code and the one-line stderr message of any error."""
     code, prefix = next((code, prefix) for types, code, prefix in _ERRORS if isinstance(e, types))
-    return code, f"{head}{prefix}{e}"
+    return code, f"{head}{prefix.format(type=type(e).__name__)}{e}"
 
 
 def load_oracle(spec: str) -> ClassifierOracle:
@@ -71,12 +73,8 @@ def load_oracle(spec: str) -> ClassifierOracle:
             return JudgmentDbOracle(dsl.parse_judgment_db(_read(rest)))
         if kind == "cmd":
             return ExternalCommandOracle(shlex.split(rest))
-    except ConfigError as e:
-        raise ConfigError(f"cannot load oracle: {e}")
-    except dsl.ParseError as e:
-        raise ConfigError(f"cannot load oracle {spec!r}: parse error: {e}")
-    except OracleError as e:
-        raise ConfigError(f"cannot load oracle {spec!r}: {e}")
+    except (ConfigError, dsl.ParseError, OracleError) as e:
+        raise ConfigError(_error(e, f"cannot load oracle {spec!r}: ")[1])
     raise ConfigError(f"unknown oracle kind: {kind!r}")
 
 
@@ -130,10 +128,10 @@ def _check_one(path: str, oracle, epsilon, fmt, batch: bool) -> tuple[int, str, 
     """Check one case file; return its exit code, stdout text and stderr text."""
     try:
         verdict = check_case(dsl.parse_case(_read(path)), oracle, epsilon)
-    except _HANDLED as e:  # a ConfigError here comes from _read, whose message names the file
+        report = _verdict_report(verdict, path, fmt, batch)
+    except Exception as e:  # a ConfigError here comes from _read, whose message names the file
         code, message = _error(e, "" if isinstance(e, ConfigError) else f"{path}: ")
         return code, "", message
-    report = _verdict_report(verdict, path, fmt, batch)
     return (EXIT_FAIR if verdict.fair else EXIT_UNFAIR), report, ""
 
 
@@ -189,7 +187,8 @@ def cmd_verify_proof(args) -> int:
         where = "" if result.step is None else f" at step {result.step}"
         print(f"FAIL{where}: {result.code}: {result.reason}", file=sys.stderr)
         return 1
-    if tuple(proof.conclusion().context) != (InterventionItem(case.intervention_expr()),):
+    got, expr = proof.conclusion(), InterventionItem(case.intervention_expr())
+    if (tuple(got.context), got.target, got.value) != ((expr,), case.target, case.target_value):
         print("FAIL: proof does not conclude with this case's counterfactual", file=sys.stderr)
         return 1
     print(f"OK: {len(proof.steps)} steps replayed")
@@ -240,7 +239,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _HANDLED as e:
+    except Exception as e:
         code, message = _error(e)
         print(message, file=sys.stderr)
         return code

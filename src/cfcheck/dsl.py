@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -33,7 +34,6 @@ from .model import (
     Judgment,
     Sum,
     TOKEN_PATTERN,
-    UnknownVariable,
     ValueTerm,
     check_probability,
     variables_of,
@@ -124,12 +124,19 @@ def _decimal_to_fraction(text: str, span: SourceSpan) -> Fraction:
         raise ParseError(
             span, f"at most {MAX_FRACTION_DIGITS} fractional digits", repr(text)
         )
-    value = Fraction(int(whole))
+    value = Fraction(_numeral(whole, span))
     if frac:
         value += Fraction(int(frac), 10 ** len(frac))
     if value > 1:
         raise ParseError(span, "a probability in [0, 1]", repr(text))
     return value
+
+
+def _numeral(digits: str, span: SourceSpan) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int() digit limit
+        raise ParseError(span, f"at most {sys.get_int_max_str_digits()} digits", str(len(digits)))
 
 
 def parse_probability_literal(text: str) -> Fraction:
@@ -210,7 +217,8 @@ class _Parser:
             if not tok.text.isdigit() or not den.text.isdigit():
                 self.error("an integer rational", tok)
             try:
-                return check_probability(Fraction(int(tok.text), int(den.text)))
+                num = _numeral(tok.text, tok.span)
+                return check_probability(Fraction(num, _numeral(den.text, den.span)))
             except (ZeroDivisionError, InvalidModel):
                 raise ParseError(tok.span, "a probability in [0, 1]", f"{tok.text}/{den.text}")
         return _decimal_to_fraction(tok.text, tok.span)
@@ -326,53 +334,51 @@ class _Parser:
             self.error(f"'{name}'", tok)
         return tok
 
-    def attr_block(self, name: str) -> tuple[DataPoint, dict[str, SourceSpan]]:
+    def attr_block(self, name: str, spans: dict[str, SourceSpan]) -> DataPoint:
         self.keyword(name)
         self.expect("{")
         attrs: list[Attribution] = []
-        spans: dict[str, SourceSpan] = {}
         while not self.at("}"):
             var = self.word("a variable name")
-            if var.text in spans:
-                raise ParseError(var.span, "a fresh variable", f"duplicate {var.text!r}")
+            spans[var.text] = var.span
             self.expect("=")
             attrs.append(Attribution(var.text, self.valueterm()))
-            spans[var.text] = var.span
             self.expect(";")
         self.expect("}")
-        return DataPoint(tuple(attrs)), spans
+        return DataPoint(tuple(attrs))
 
     def case(self, graph: CausalGraph) -> Case:
-        """The rest of a case file, after its graph block."""
-        factual, spans = self.attr_block("factual")
+        """The rest of a case file; an error points at its variable's latest occurrence."""
+        spans: dict[str, SourceSpan] = {}
+        try:
+            factual = self.attr_block("factual", spans)
 
-        self.keyword("intervene")
-        ivar = self.word("the intervention variable")
-        self.expect("=")
-        ival = self.word("an atomic value")
-        self.expect(";")
-
-        self.keyword("target")
-        tvar = self.word("the target variable")
-        self.expect("=")
-        tval = self.valueterm()
-        self.expect(";")
-
-        candidate = None
-        if self.at("word") and self.peek().text == "candidate":
-            candidate, cand_spans = self.attr_block("candidate")
-            spans.update(cand_spans)
-        spans.update({ivar.text: ivar.span, tvar.text: tvar.span})
-
-        prob = None
-        if self.at("word") and self.peek().text == "factual_prob":
-            self.advance()
-            tok = self.word("a decimal probability")
-            prob = _decimal_to_fraction(tok.text, tok.span)
+            self.keyword("intervene")
+            ivar = self.word("the intervention variable")
+            spans[ivar.text] = ivar.span
+            self.expect("=")
+            ival = self.word("an atomic value")
             self.expect(";")
 
-        self.expect("eof", "end of case file")
-        try:
+            self.keyword("target")
+            tvar = self.word("the target variable")
+            spans[tvar.text] = tvar.span
+            self.expect("=")
+            tval = self.valueterm()
+            self.expect(";")
+
+            candidate = None
+            if self.at("word") and self.peek().text == "candidate":
+                candidate = self.attr_block("candidate", spans)
+
+            prob = None
+            if self.at("word") and self.peek().text == "factual_prob":
+                self.advance()
+                tok = self.word("a decimal probability")
+                prob = _decimal_to_fraction(tok.text, tok.span)
+                self.expect(";")
+
+            self.expect("eof", "end of case file")
             return Case(
                 graph=graph,
                 factual=factual,
@@ -382,10 +388,8 @@ class _Parser:
                 factual_prob=prob,
                 candidate_override=candidate,
             )
-        except UnknownVariable as e:
-            raise ParseError(spans[e.var], "a graph node", f"unknown variable {e.var!r}")
-        except InvalidModel as e:  # every other case invariant concerns the target
-            raise ParseError(tvar.span, "a well-formed case", str(e))
+        except InvalidModel as e:
+            raise ParseError(spans[e.var], "a well-formed case", str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +546,6 @@ def proof_from_dict(doc: dict) -> Proof:
 def parse_proof(text: str) -> Proof:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON, too deep, or a number too long
         raise ProofFormatError(f"malformed proof document: {e}")
     return proof_from_dict(doc)

@@ -62,11 +62,12 @@ class Case:
             *(a.var for a in self.candidate_override or ()),
         )
         if self.intervention.var == self.target:
-            raise InvalidModel("intervention variable must differ from the target")
+            raise InvalidModel("intervention variable must differ from the target", self.target)
         if self.target in variables_of(self.factual):
-            raise InvalidModel(f"target {self.target} attributed in the factual data point")
+            msg = f"target {self.target} attributed in the factual data point"
+            raise InvalidModel(msg, self.target)
         if self.target in variables_of(self.candidate_override or DataPoint(())):
-            raise InvalidModel(f"target {self.target} attributed in the candidate")
+            raise InvalidModel(f"target {self.target} attributed in the candidate", self.target)
         if self.factual_prob is not None:
             object.__setattr__(self, "factual_prob", check_probability(self.factual_prob))
 

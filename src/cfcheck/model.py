@@ -19,15 +19,18 @@ _TOKEN_RE = re.compile(TOKEN_PATTERN + r"\Z")
 
 
 class InvalidModel(ValueError):
-    """A structural invariant was violated at construction time."""
+    """A structural invariant was violated; `var`, if given, names the variable at fault."""
+
+    def __init__(self, message: str, var: Optional[str] = None):
+        self.var = var
+        super().__init__(message)
 
 
 class UnknownVariable(InvalidModel):
     """A variable is used that the causal graph does not have."""
 
     def __init__(self, var: str):
-        self.var = var
-        super().__init__(f"unknown variable: {var}")
+        super().__init__(f"unknown variable: {var}", var)
 
 
 class GraphCycle(InvalidModel):
@@ -119,7 +122,7 @@ class DataPoint:
         seen = set()
         for a in self.attributions:
             if a.var in seen:
-                raise InvalidModel(f"duplicate variable in data point: {a.var}")
+                raise InvalidModel(f"duplicate variable in data point: {a.var}", a.var)
             seen.add(a.var)
 
     def value_of(self, var: str) -> Optional[ValueTerm]:

@@ -19,14 +19,15 @@ from fractions import Fraction
 from typing import Protocol
 
 from .model import (
+    Atom,
     DataPoint,
     InvalidModel,
     check_token,
     InterventionItem,
     Judgment,
     ValueTerm,
+    Sum,
     check_probability,
-    value_matches,
     variables_of,
 )
 
@@ -79,38 +80,40 @@ class CsvFrequencyOracle:
 
     def __init__(self, columns: list[str], tokens: list[dict[str, int]], ids: list[array], n_rows: int):
         self.all_rows = (1 << n_rows) - 1
-        self.tokens = {col: list(t) for col, t in zip(columns, tokens)}
+        self.tokens = dict(zip(columns, tokens))
         self.planes = {col: _bit_planes(i, len(t)) for col, t, i in zip(columns, tokens, ids)}
 
     @classmethod
     def from_text(cls, text: str) -> "CsvFrequencyOracle":
         reader = csv.reader(io.StringIO(text))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise OracleError("empty CSV: missing header")
-        if len(set(header)) != len(header) or any(not c for c in header):
-            raise OracleError(f"invalid CSV header: {header}")
-        tokens: list[dict[str, int]] = [{} for _ in header]
-        ids = [array("I") for _ in header]
-        n_rows = 0
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise OracleError(f"CSV line {lineno}: expected {len(header)} cells, got {len(raw)}")
-            for cell, seen, col_ids in zip(raw, tokens, ids):
-                i = seen.get(cell)
-                if i is None:
-                    if cell == "":
-                        raise OracleError(f"CSV line {lineno}: empty cell")
-                    try:
-                        check_token(cell)
-                    except InvalidModel:
-                        raise OracleError(f"CSV line {lineno}: cell {cell!r} is not a plain token")
-                    i = seen[cell] = len(seen)
-                col_ids.append(i)
-            n_rows += 1
+            header = next(reader, [])
+            if not header:
+                raise OracleError("empty CSV: missing header")
+            if len(set(header)) != len(header) or any(not c for c in header):
+                raise OracleError(f"invalid CSV header: {header}")
+            tokens: list[dict[str, int]] = [{} for _ in header]
+            ids = [array("I") for _ in header]
+            n_rows = 0
+            for lineno, raw in enumerate(reader, start=2):
+                if not raw:
+                    continue
+                if len(raw) != len(header):
+                    raise OracleError(f"CSV line {lineno}: expected {len(header)} cells, got {len(raw)}")
+                for cell, seen, col_ids in zip(raw, tokens, ids):
+                    i = seen.get(cell)
+                    if i is None:
+                        if cell == "":
+                            raise OracleError(f"CSV line {lineno}: empty cell")
+                        try:
+                            check_token(cell)
+                        except InvalidModel:
+                            raise OracleError(f"CSV line {lineno}: cell {cell!r} is not a plain token")
+                        i = seen[cell] = len(seen)
+                    col_ids.append(i)
+                n_rows += 1
+        except csv.Error as e:  # a cell over csv.field_size_limit(), for one
+            raise OracleError(f"CSV line {reader.line_num}: {e}")
         return cls(header, tokens, ids, n_rows)
 
     @classmethod
@@ -132,19 +135,22 @@ class CsvFrequencyOracle:
         return Fraction(numerator, denominator)
 
     def _rows_matching(self, column: str, term: ValueTerm) -> int:
-        """Rows whose cell in `column` satisfies `term`: the union over the
-        smaller of the matching and non-matching token sets (complemented
-        for the latter) of each token's rows, the AND of its bit planes."""
-        hits = [value_matches(term, token) for token in self.tokens[column]]
-        flip = 2 * sum(hits) > len(hits)
-        rows = 0
-        for i, hit in enumerate(hits):
-            if hit != flip:
-                mask = self.all_rows
-                for k, plane in enumerate(self.planes[column]):
-                    mask &= plane if i >> k & 1 else self.all_rows ^ plane
-                rows |= mask
-        return self.all_rows ^ rows if flip else rows
+        """Rows whose cell in `column` satisfies `term`: an atom's are the AND
+        of its token's bit planes (none for an absent token), a sum ORs its
+        members' rows, and a complement takes the other rows."""
+        if isinstance(term, Atom):
+            if (i := self.tokens[column].get(term.token)) is None:
+                return 0
+            rows = self.all_rows
+            for k, plane in enumerate(self.planes[column]):
+                rows &= plane if i >> k & 1 else self.all_rows ^ plane
+            return rows
+        if isinstance(term, Sum):
+            rows = 0
+            for member in term.members:
+                rows |= self._rows_matching(column, member)
+            return rows
+        return self.all_rows ^ self._rows_matching(column, term.inner)  # a complement
 
 
 def _bit_planes(ids: array, distinct: int) -> list[int]:
@@ -257,7 +263,7 @@ class ExternalCommandOracle:
         try:
             doc = json.loads(line[0])
             raw = doc["probability"]
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, RecursionError) as e:
             raise OracleError(f"malformed oracle response: {e}")
         try:
             return check_probability(parse_probability_literal(str(raw)))

@@ -1,9 +1,16 @@
+import io
 import json
 import re
+import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cfcheck import cli
 from cfcheck.cli import main
+from conftest import DATA
 
 
 @pytest.fixture
@@ -492,3 +499,179 @@ def test_check_batch_names_a_missing_file_once(capsys, loan_cfc, data_dir, tmp_p
     assert [line.split(": ")[0] for line in out.splitlines()] == [loan_cfc] * 6
     err_lines = err.splitlines()
     assert len(err_lines) == 1 and err_lines[0].count("missing.cfc") == 1
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("yes", (0, "OK: 14 steps replayed\n", "")),
+        ("no", (1, "", "FAIL: proof does not conclude with this case's counterfactual\n")),
+    ],
+)
+def test_verify_proof_checks_the_case_target_and_value(
+    capsys, loan_cfc, loan_proof_doc, tmp_path, value, expected
+):
+    # the proof replays whatever the target's value; the case asks for Loan = yes
+    text = json.dumps(loan_proof_doc)
+    assert text.count("|- Loan = yes") == 2
+    proof_path = tmp_path / "loan.proof.json"
+    proof_path.write_text(text.replace("|- Loan = yes", f"|- Loan = {value}"))
+    assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == expected
+
+
+# ---------------------------------------------------------------------------
+# Every input reaches a documented exit code; only a bug in cfcheck exits 5.
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than json.loads can recurse
+LONG_NUMERAL = "9" * 5000  # longer than the interpreter's 4300-digit int() limit
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter has no int() digit limit"
+)
+LOAN_CSV = "Gender,MS,SAT,GAI,Degree,Experience,Loan\n" + "".join(
+    f"m,{ms},1100,{gai},PhD,{exp},{loan}\n"
+    for ms, gai, exp, loan in [
+        *[("mar", "65K", "5y", "yes")] * 3,
+        *[("mar", "65K", "5y", "no")] * 2,
+        ("div", "65K", "5y", "yes"),
+        ("div", "40K", "2y", "yes"),
+        ("div", "65K", "2y", "yes"),
+        ("div", "40K", "5y", "no"),
+        ("div", "65K", "5y", "no"),
+    ]
+)
+
+
+def _argv(kind: str, text: str, directory) -> list[str]:
+    """A command that reads `text` as its input of the given kind; a `cmd`
+    input is the response line of an external-command oracle."""
+    path = directory / f"input.{kind}"
+    path.write_text(text, encoding="utf-8")
+    loan, db = str(DATA / "loan.cfc"), f"db:{DATA / 'loan.db'}"
+    return {
+        "case": ["check", str(path), "--oracle", db],
+        "db": ["check", loan, "--oracle", f"db:{path}"],
+        "csv": ["check", loan, "--oracle", f"csv:{path}"],
+        "cmd": ["check", loan, "--oracle", f"cmd:cat {shlex.quote(str(path))}"],
+        "proof": ["verify-proof", str(path), loan],
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, text, code",
+    [
+        pytest.param("proof", DEEP_JSON, 3, id="deep-proof-json"),
+        pytest.param("cmd", DEEP_JSON, 4, id="deep-oracle-response"),
+        pytest.param("csv", "A,B\nx," + "y" * 131_073 + "\n", 3, id="csv-cell-over-field-limit"),
+        pytest.param(
+            "db", f"A = x |- B = y @ 1/{LONG_NUMERAL};", 3, id="long-numeral-in-db",
+            marks=needs_int_digit_limit,
+        ),
+        pytest.param(
+            "proof", f'{{"assumptions": [], "steps": [{{"premise": {LONG_NUMERAL}}}]}}', 3,
+            id="long-number-in-proof-json", marks=needs_int_digit_limit,
+        ),
+        pytest.param(
+            "cmd", f'{{"probability": {LONG_NUMERAL}}}', 4,
+            id="long-number-in-oracle-response", marks=needs_int_digit_limit,
+        ),
+    ],
+)
+def test_input_that_crashed_its_reader_exits_with_its_code(capsys, tmp_path, kind, text, code):
+    got, out, err = run(capsys, *_argv(kind, text, tmp_path))
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err and "internal error" not in err
+
+
+@needs_int_digit_limit
+def test_long_numeral_epsilon_is_parse_error(capsys, loan_cfc, data_dir):
+    code, out, err = run(capsys, "check", loan_cfc, "--oracle", f"db:{data_dir / 'loan.db'}",
+                         "--epsilon", f"1/{LONG_NUMERAL}")
+    assert (code, out) == (3, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"bad epsilon: parse error: 1:3: expected at most {limit} digits, found 5000\n"
+
+
+@pytest.mark.parametrize("layer", ["_read", "_verdict_report"])
+def test_crash_in_one_batch_file_is_reported_for_that_file_alone(
+    capsys, monkeypatch, loan_cfc, data_dir, tmp_path, layer
+):
+    crashing = tmp_path / "crash.cfc"
+    crashing.write_text((data_dir / "loan.cfc").read_text())
+    real = getattr(cli, layer)
+
+    def crash_on_one_file(*args):
+        if str(crashing) in args:
+            raise RuntimeError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(cli, layer, crash_on_one_file)
+    paths = [loan_cfc, str(crashing), loan_cfc]
+    code, out, err = run(capsys, "check", *paths, "--oracle", f"db:{data_dir / 'loan.db'}",
+                         "--jobs", "2")
+    assert code == 5
+    assert [line.split(": ")[0] for line in out.splitlines()] == [loan_cfc] * 6
+    assert err == f"{crashing}: internal error: RuntimeError: injected\n"
+
+
+def test_crash_in_derive_exits_5_with_one_line(capsys, monkeypatch, loan_cfc, data_dir):
+    def crash(case, oracle):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "derive_counterfactual", crash)
+    assert run(capsys, "derive", loan_cfc, "--oracle", f"db:{data_dir / 'loan.db'}") == (
+        5, "", "internal error: RuntimeError: injected\n"
+    )
+
+
+def _loan_proof_text() -> str:
+    from cfcheck.dsl import parse_case, parse_judgment_db, render_proof
+    from cfcheck.engine import derive_counterfactual
+    from cfcheck.oracle import JudgmentDbOracle
+
+    case = parse_case((DATA / "loan.cfc").read_text())
+    oracle = JudgmentDbOracle(parse_judgment_db((DATA / "loan.db").read_text()))
+    return render_proof(derive_counterfactual(case, oracle)[1])
+
+
+FUZZ_BASES = {
+    "case": (DATA / "loan.cfc").read_text(),
+    "db": (DATA / "loan.db").read_text(),
+    "csv": LOAN_CSV,
+    "cmd": '{"probability": "0.60"}\n',
+    "proof": _loan_proof_text(),
+}
+FUZZ_CHARS = st.sampled_from(list("{}[]()-|>;=,!@/+.#\":\n 0169abnoyAZ_") + ["é", "\x00", "\r"])
+
+
+@st.composite
+def mutated_inputs(draw):
+    """One input kind and a copy of its base text with a few spans replaced."""
+    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    text = FUZZ_BASES[kind]
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 12)))
+        text = text[:start] + draw(st.text(FUZZ_CHARS, max_size=12)) + text[end:]
+    return kind, text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_inputs())
+@example(("proof", DEEP_JSON))
+@example(("cmd", DEEP_JSON))
+@example(("csv", "A,B\nx," + "y" * 131_073 + "\n"))
+@example(("db", f"A = x |- B = y @ 1/{LONG_NUMERAL};"))
+def test_mutated_inputs_reach_a_documented_exit_code(fuzz_dir, kind_text):
+    kind, text = kind_text
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(_argv(kind, text, fuzz_dir))
+    assert code in range(5), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:  # only a verdict or a replay says 1
+        assert "UNFAIR" in out.getvalue() or err.getvalue().startswith("FAIL")

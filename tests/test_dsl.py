@@ -118,6 +118,35 @@ def test_parse_case_semantic_errors_have_spans():
         assert exc.value.span.line >= 1 and exc.value.span.column >= 1
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        pytest.param(
+            "graph { A -> B; }\nfactual { A = x; A = y; }\nintervene A = z;\ntarget B = w;",
+            2, 18, id="duplicate-factual-variable",
+        ),
+        pytest.param(
+            "graph { A -> B; }\nfactual { A = x; }\nintervene A = z;\ntarget B = w;\n"
+            "candidate { A = z; A = y; }",
+            5, 20, id="duplicate-candidate-variable",
+        ),
+        pytest.param(
+            "graph { A -> B; }\nfactual { A = x; }\nintervene C = z;\ntarget B = w;",
+            3, 11, id="unknown-intervention-variable",
+        ),
+        pytest.param(
+            "graph { A -> B; }\nfactual { A = x; }\nintervene A = z;\ntarget B = w;\n"
+            "candidate { A = z; B = w; }",
+            5, 20, id="target-in-candidate",
+        ),
+    ],
+)
+def test_case_error_points_at_the_variable_s_latest_occurrence(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_case(text)
+    assert (exc.value.span.line, exc.value.span.column) == (line, column)
+
+
 def test_parse_error_spans_in_bounds():
     bad_inputs = [
         "graph { A -> ; }",

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import textwrap
+import timeit
 import tracemalloc
 from fractions import Fraction
 
@@ -218,6 +219,11 @@ def test_csv_matches_row_scan(table):
         ("A,B\nx,y\n,y\nq,w,e\n", "CSV line 3: empty cell"),
         ("A,B\n\nx,b-d\n,\n", "CSV line 3: cell 'b-d' is not a plain token"),
         ("A,B\nx,\nb-d,y\n", "CSV line 2: empty cell"),
+        pytest.param(
+            "A,B\nx,y\nx," + "y" * 131_073 + "\n",
+            "CSV line 3: field larger than field limit (131072)",
+            id="cell-over-field-limit",
+        ),
     ],
 )
 def test_csv_reports_first_faulty_line(text, message):
@@ -241,6 +247,21 @@ def test_csv_load_retains_little_memory():
     assert retained < 8 * 2**20
     assert oracle.query(query([("A0", Atom("v0"))], target="Id", value=Atom("r7"))) == 0
     assert oracle.query(query([("Id", Atom("r7"))], target="A1", value=Atom("v1"))) == 1
+
+
+@pytest.mark.parametrize("complement", [False, True], ids=["atom", "complement"])
+def test_csv_query_cost_does_not_grow_with_a_column_s_distinct_tokens(complement):
+    n = 20_000
+    text = "Id,C,Loan\n" + "".join(f"r{i},c{i % 3},{'yes' if i % 2 else 'no'}\n" for i in range(n))
+    oracle = CsvFrequencyOracle.from_text(text)
+
+    def best_time(column, token):
+        term = Complement(Atom(token)) if complement else Atom(token)
+        q = query([(column, term)])
+        return min(timeit.repeat(lambda: oracle.query(q), number=20, repeat=5))
+
+    # a ratio of two timings on one table, so it holds on a slow host too
+    assert best_time("Id", "r7") < 10 * best_time("C", "c1")
 
 
 # ---------------------------------------------------------------------------
