@@ -19,8 +19,10 @@ from .closure import mediate_closure, descendants
 from .engine import (
     CandidateRejected,
     ConsistencyError,
+    candidate_judgment,
     check_case,
     derive_counterfactual,
+    reduced_point,
 )
 from .kernel import check_proof
 from .model import CausalGraph, InterventionItem, InvalidModel
@@ -73,7 +75,7 @@ def load_oracle(spec: str) -> ClassifierOracle:
             return JudgmentDbOracle(dsl.parse_judgment_db(_read(rest)))
         if kind == "cmd":
             return ExternalCommandOracle(shlex.split(rest))
-    except (ConfigError, dsl.ParseError, OracleError) as e:
+    except (dsl.ParseError, OracleError) as e:  # a ConfigError from _read names the file itself
         raise ConfigError(_error(e, f"cannot load oracle {spec!r}: ")[1])
     raise ConfigError(f"unknown oracle kind: {kind!r}")
 
@@ -190,6 +192,11 @@ def cmd_verify_proof(args) -> int:
     got, expr = proof.conclusion(), InterventionItem(case.intervention_expr())
     if (tuple(got.context), got.target, got.value) != ((expr,), case.target, case.target_value):
         print("FAIL: proof does not conclude with this case's counterfactual", file=sys.stderr)
+        return 1
+    sigma = case.candidate_override
+    sigma = reduced_point(case) if sigma is None else sigma
+    if any(a != candidate_judgment(case, sigma, a.prob) for a in proof.assumptions):
+        print("FAIL: proof does not start from this case's candidate", file=sys.stderr)
         return 1
     print(f"OK: {len(proof.steps)} steps replayed")
     return 0

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .engine import Case
 from .kernel import Proof, ProofStep, RuleId
 from .model import (
     Atom,
     AttrItem,
     Attribution,
+    Case,
     CausalGraph,
     Complement,
     ContextItem,
@@ -147,11 +147,15 @@ def parse_probability_literal(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # Recursive-descent parser.
 
+_Item = Union[tuple[str, str], Attribution, str]  # an edge, an attribution or a bare node
+
 
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
+        # where each attributed or intervened variable, and each edge, was last read
+        self.seen: dict[Union[str, tuple[str, str]], Token] = {}
 
     def peek(self) -> Token:
         return self.toks[self.i]  # advance never moves past eof
@@ -179,6 +183,12 @@ class _Parser:
         if not self.at("word"):
             self.error(expected)
         return self.advance()
+
+    def keyword(self, name: str) -> Token:
+        tok = self.word(f"'{name}'")
+        if tok.text != name:
+            self.error(f"'{name}'", tok)
+        return tok
 
     # -- value terms ------------------------------------------------------
 
@@ -223,80 +233,82 @@ class _Parser:
                 raise ParseError(tok.span, "a probability in [0, 1]", f"{tok.text}/{den.text}")
         return _decimal_to_fraction(tok.text, tok.span)
 
-    # -- attributions and context items ------------------------------------
+    # -- items, interventions and lists ---------------------------------------
+
+    def item(self, expected: str, *, edge=False, attr=True, node=False) -> _Item:
+        """An edge `NAME -> NAME` (as a pair), an attribution `NAME = term` or
+        a bare node `NAME` (as its name), as the caller allows. A name that
+        starts no edge must start an attribution unless a bare node is allowed."""
+        name = self.word(expected)
+        if edge and self.at("->"):
+            self.advance()
+            pair = (name.text, self.word("an edge target").text)
+            self.seen[pair] = name
+            return pair
+        if attr and (not node or self.at("=")):
+            self.seen[name.text] = name
+            self.expect("=")
+            return Attribution(name.text, self.valueterm())
+        return name.text
+
+    def intervention(self) -> Intervention:
+        """`NAME = NAME`: an atomic value imposed on a variable."""
+        var = self.word("the intervention variable")
+        self.seen[var.text] = var
+        self.expect("=")
+        return Intervention(var.text, Atom(self.word("an atomic value").text))
+
+    def separated(self, entry, end: str) -> list:
+        """Entries read by `entry` with `,` between them, then `end`."""
+        out = [] if self.at(end) else [entry()]
+        while self.at(","):
+            self.advance()
+            out.append(entry())
+        self.expect(end)
+        return out
+
+    def terminated(self, entry, end: str) -> list:
+        """Entries read by `entry`, each followed by `;`, then `end`."""
+        out = []
+        while not self.at(end):
+            out.append(entry())
+            self.expect(";")
+        self.expect(end)
+        return out
+
+    # -- context items and judgments -----------------------------------------
 
     def bracket_expr(self) -> InterventionExpr:
         """`[` edges, bare nodes and attributions `] I(var=value)`."""
         open_tok = self.expect("[")
-        edges: list[tuple[str, str]] = []
-        nodes: set[str] = set()
-        attrs: list[Attribution] = []
-        if not self.at("]"):
-            while True:
-                name = self.word("an edge, node or attribution")
-                if self.at("->"):
-                    self.advance()
-                    dst = self.word("an edge target")
-                    edges.append((name.text, dst.text))
-                    nodes.update((name.text, dst.text))
-                elif self.at("="):
-                    self.advance()
-                    attrs.append(Attribution(name.text, self.valueterm()))
-                    nodes.add(name.text)
-                else:
-                    nodes.add(name.text)
-                if self.at(","):
-                    self.advance()
-                else:
-                    break
-        self.expect("]")
-        i_tok = self.word("'I'")
-        if i_tok.text != "I":
-            self.error("'I'", i_tok)
+        items = self.separated(
+            lambda: self.item("an edge, node or attribution", edge=True, node=True), "]"
+        )
+        self.keyword("I")
         self.expect("(")
-        var = self.word("the intervention variable")
-        self.expect("=")
-        val = self.word("an atomic value")
+        intervention = self.intervention()
         self.expect(")")
-        nodes.add(var.text)
         try:
-            return InterventionExpr(
-                CausalGraph(frozenset(nodes), frozenset(edges)),
-                DataPoint(tuple(attrs)),
-                Intervention(var.text, Atom(val.text)),
-            )
+            graph = _graph(items + [intervention.var])
+            attrs = DataPoint(tuple(i for i in items if isinstance(i, Attribution)))
+            return InterventionExpr(graph, attrs, intervention)
         except InvalidModel as e:
             raise ParseError(open_tok.span, "a well-formed intervention expression", str(e))
 
     def context_item(self) -> ContextItem:
         if self.at("["):
             return InterventionItem(self.bracket_expr())
-        name = self.word("a context item")
-        if self.at("->"):
-            self.advance()
-            dst = self.word("an edge target")
-            return EdgeItem(name.text, dst.text)
-        self.expect("=")
-        return AttrItem(Attribution(name.text, self.valueterm()))
-
-    # -- judgments ----------------------------------------------------------
+        item = self.item("a context item", edge=True)
+        return AttrItem(item) if isinstance(item, Attribution) else EdgeItem(*item)
 
     def judgment(self) -> Judgment:
         start = self.peek()
-        items: list[ContextItem] = []
-        if not self.at("|-"):
-            items.append(self.context_item())
-            while self.at(","):
-                self.advance()
-                items.append(self.context_item())
-        self.expect("|-")
-        target = self.word("a target variable")
-        self.expect("=")
-        value = self.valueterm()
+        context = self.separated(self.context_item, "|-")
+        conclusion = self.item("a target variable")
         self.expect("@")
         prob = self.probability()
         try:
-            return Judgment(tuple(items), target.text, value, prob)
+            return Judgment(tuple(context), conclusion.var, conclusion.value, prob)
         except InvalidModel as e:
             raise ParseError(start.span, "a well-formed judgment", str(e))
 
@@ -305,91 +317,56 @@ class _Parser:
     def graph_block(self) -> CausalGraph:
         self.keyword("graph")
         self.expect("{")
-        nodes: set[str] = set()
-        edges: list[tuple[tuple[str, str], SourceSpan]] = []
-        while not self.at("}"):
-            src = self.word("a node or edge")
-            if self.at("->"):
-                self.advance()
-                dst = self.word("an edge target")
-                edges.append(((src.text, dst.text), src.span))
-                nodes.update((src.text, dst.text))
-            else:
-                nodes.add(src.text)
-            self.expect(";")
-        self.expect("}")
+        items = self.terminated(
+            lambda: self.item("a node or edge", edge=True, attr=False, node=True), "}"
+        )
         try:
-            return CausalGraph(frozenset(nodes), frozenset(e for e, _ in edges))
+            return _graph(items)
         except GraphCycle as e:
-            cycle_edges = set(zip(e.cycle, e.cycle[1:]))
-            span = max(
-                (sp for edge, sp in edges if edge in cycle_edges),
-                key=lambda sp: (sp.line, sp.column),
-            )
-            raise ParseError(span, "an acyclic graph", str(e))
+            tokens = [self.seen[edge] for edge in zip(e.cycle, e.cycle[1:])]
+            last = max(tokens, key=lambda t: (t.line, t.col))
+            raise ParseError(last.span, "an acyclic graph", str(e))
 
-    def keyword(self, name: str) -> Token:
-        tok = self.word(f"'{name}'")
-        if tok.text != name:
-            self.error(f"'{name}'", tok)
-        return tok
-
-    def attr_block(self, name: str, spans: dict[str, SourceSpan]) -> DataPoint:
+    def attr_block(self, name: str) -> DataPoint:
         self.keyword(name)
         self.expect("{")
-        attrs: list[Attribution] = []
-        while not self.at("}"):
-            var = self.word("a variable name")
-            spans[var.text] = var.span
-            self.expect("=")
-            attrs.append(Attribution(var.text, self.valueterm()))
-            self.expect(";")
-        self.expect("}")
-        return DataPoint(tuple(attrs))
+        return DataPoint(tuple(self.terminated(lambda: self.item("a variable name"), "}")))
 
     def case(self, graph: CausalGraph) -> Case:
         """The rest of a case file; an error points at its variable's latest occurrence."""
-        spans: dict[str, SourceSpan] = {}
         try:
-            factual = self.attr_block("factual", spans)
+            factual = self.attr_block("factual")
 
             self.keyword("intervene")
-            ivar = self.word("the intervention variable")
-            spans[ivar.text] = ivar.span
-            self.expect("=")
-            ival = self.word("an atomic value")
+            intervention = self.intervention()
             self.expect(";")
 
             self.keyword("target")
-            tvar = self.word("the target variable")
-            spans[tvar.text] = tvar.span
-            self.expect("=")
-            tval = self.valueterm()
+            target = self.item("the target variable")
             self.expect(";")
 
-            candidate = None
-            if self.at("word") and self.peek().text == "candidate":
-                candidate = self.attr_block("candidate", spans)
+            candidate = self.attr_block("candidate") if self.peek().text == "candidate" else None
 
             prob = None
-            if self.at("word") and self.peek().text == "factual_prob":
+            if self.peek().text == "factual_prob":
                 self.advance()
                 tok = self.word("a decimal probability")
                 prob = _decimal_to_fraction(tok.text, tok.span)
                 self.expect(";")
 
             self.expect("eof", "end of case file")
-            return Case(
-                graph=graph,
-                factual=factual,
-                intervention=Intervention(ivar.text, Atom(ival.text)),
-                target=tvar.text,
-                target_value=tval,
-                factual_prob=prob,
-                candidate_override=candidate,
-            )
+            return Case(graph, factual, intervention, target.var, target.value, prob, candidate)
         except InvalidModel as e:
-            raise ParseError(spans[e.var], "a well-formed case", str(e))
+            raise ParseError(self.seen[e.var].span, "a well-formed case", str(e))
+
+
+def _graph(items: list[_Item]) -> CausalGraph:
+    """The graph that edges, bare nodes and attributions state: their edges,
+    and every variable they name as a node."""
+    edges = frozenset(i for i in items if isinstance(i, tuple))
+    nodes = {i for i in items if isinstance(i, str)}
+    nodes.update(i.var for i in items if isinstance(i, Attribution))
+    return CausalGraph(frozenset(nodes.union(*edges)), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +408,7 @@ def parse_valueterm(text: str) -> ValueTerm:
 def parse_judgment_db(text: str) -> list[Judgment]:
     """Parse a judgment database: judgments separated by `;`."""
     p = _Parser(tokenize(text))
-    out: list[Judgment] = []
-    while not p.at("eof"):
-        out.append(p.judgment())
-        p.expect(";")
-    return out
+    return p.terminated(p.judgment, "eof")
 
 
 # ---------------------------------------------------------------------------

@@ -7,25 +7,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .closure import descendants, intervene_graph
 from .kernel import Proof, ProofStep, RuleError, RuleId, apply_step
 from .model import (
     AttrItem,
     Attribution,
+    Case,
     CausalGraph,
     ContextItem,
     DataPoint,
     EdgeItem,
-    Intervention,
-    InterventionExpr,
     InterventionItem,
     InvalidModel,
     Judgment,
-    ValueTerm,
     check_probability,
-    variables_of,
 )
 from .oracle import ClassifierOracle, OracleError, OracleQuery
 
@@ -40,39 +37,6 @@ class CandidateRejected(Exception):
     def __init__(self, failure: "CandidateFailure"):
         self.failure = failure
         super().__init__(str(failure))
-
-
-@dataclass(frozen=True)
-class Case:
-    """One counterfactual fairness question about one individual."""
-
-    graph: CausalGraph
-    factual: DataPoint
-    intervention: Intervention
-    target: str
-    target_value: ValueTerm
-    factual_prob: Optional[Fraction] = None
-    candidate_override: Optional[DataPoint] = None
-
-    def __post_init__(self):
-        self.graph.require(
-            *(a.var for a in self.factual),
-            self.intervention.var,
-            self.target,
-            *(a.var for a in self.candidate_override or ()),
-        )
-        if self.intervention.var == self.target:
-            raise InvalidModel("intervention variable must differ from the target", self.target)
-        if self.target in variables_of(self.factual):
-            msg = f"target {self.target} attributed in the factual data point"
-            raise InvalidModel(msg, self.target)
-        if self.target in variables_of(self.candidate_override or DataPoint(())):
-            raise InvalidModel(f"target {self.target} attributed in the candidate", self.target)
-        if self.factual_prob is not None:
-            object.__setattr__(self, "factual_prob", check_probability(self.factual_prob))
-
-    def intervention_expr(self) -> InterventionExpr:
-        return InterventionExpr(self.graph, self.factual, self.intervention)
 
 
 @dataclass(frozen=True)
@@ -98,15 +62,18 @@ class CandidateFailure:
 
 
 def build_candidate(case: Case) -> tuple[CausalGraph, DataPoint]:
-    """Intervened graph plus the reduced data point: the imposed attribution
-    followed by every factual attribution outside the intervention variable's
-    effects, in factual order."""
+    """Intervened graph plus the reduced data point."""
+    return intervene_graph(case.graph, case.intervention.var), reduced_point(case)
+
+
+def reduced_point(case: Case) -> DataPoint:
+    """The imposed attribution followed by every factual attribution outside
+    the intervention variable's effects, in factual order."""
     a_j = case.intervention.var
-    graph_i = intervene_graph(case.graph, a_j)
     blocked = descendants(case.graph, a_j)
     attrs = [Attribution(a_j, case.intervention.value)]
     attrs += [a for a in case.factual if a.var not in blocked]
-    return graph_i, DataPoint(tuple(attrs))
+    return DataPoint(tuple(attrs))
 
 
 def candidate_judgment(case: Case, sigma: DataPoint, prob: Fraction) -> Judgment:

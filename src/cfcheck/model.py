@@ -1,5 +1,5 @@
 """Core vocabulary of the calculus: variables, value terms, attributions,
-data points, causal graphs, interventions, judgments and probabilities.
+data points, causal graphs, interventions, cases, judgments and probabilities.
 
 Everything here is immutable after construction and validated eagerly, so
 any value of these types that exists is structurally well-formed.
@@ -226,7 +226,7 @@ class CausalGraph:
 
 
 # ---------------------------------------------------------------------------
-# Interventions.
+# Interventions and cases.
 
 
 @dataclass(frozen=True)
@@ -252,6 +252,39 @@ class InterventionExpr:
 
     def __post_init__(self):
         self.graph.require(self.intervention.var, *(a.var for a in self.datapoint))
+
+
+@dataclass(frozen=True)
+class Case:
+    """One counterfactual fairness question about one individual."""
+
+    graph: CausalGraph
+    factual: DataPoint
+    intervention: Intervention
+    target: str
+    target_value: ValueTerm
+    factual_prob: Optional[Fraction] = None
+    candidate_override: Optional[DataPoint] = None
+
+    def __post_init__(self):
+        self.graph.require(
+            *(a.var for a in self.factual),
+            self.intervention.var,
+            self.target,
+            *(a.var for a in self.candidate_override or ()),
+        )
+        if self.intervention.var == self.target:
+            raise InvalidModel("intervention variable must differ from the target", self.target)
+        if self.target in variables_of(self.factual):
+            msg = f"target {self.target} attributed in the factual data point"
+            raise InvalidModel(msg, self.target)
+        if self.target in variables_of(self.candidate_override or DataPoint(())):
+            raise InvalidModel(f"target {self.target} attributed in the candidate", self.target)
+        if self.factual_prob is not None:
+            object.__setattr__(self, "factual_prob", check_probability(self.factual_prob))
+
+    def intervention_expr(self) -> InterventionExpr:
+        return InterventionExpr(self.graph, self.factual, self.intervention)
 
 
 # ---------------------------------------------------------------------------

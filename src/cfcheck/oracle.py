@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol
 
+from .dsl import ParseError, parse_probability_literal, render_valueterm
 from .model import (
     Atom,
     DataPoint,
     InvalidModel,
     check_token,
-    InterventionItem,
     Judgment,
     ValueTerm,
     Sum,
@@ -183,7 +183,7 @@ class JudgmentDbOracle:
 
     def __init__(self, judgments: list[Judgment]):
         for j in judgments:
-            if j.edge_items() or any(isinstance(i, InterventionItem) for i in j.context):
+            if j.edge_items() or j.intervention_item() is not None:
                 raise OracleError(
                     "judgment-db entries must have attribution-only contexts"
                 )
@@ -231,8 +231,6 @@ class ExternalCommandOracle:
             raise OracleError(f"CF_ORACLE_TIMEOUT_MS is not a positive number: {env_ms!r}")
 
     def query(self, q: OracleQuery) -> Fraction:
-        from .dsl import ParseError, parse_probability_literal, render_valueterm
-
         request = json.dumps(
             {
                 "attributions": [

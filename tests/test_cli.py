@@ -519,6 +519,54 @@ def test_verify_proof_checks_the_case_target_and_value(
     assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == expected
 
 
+def test_verify_proof_rejects_a_proof_that_does_not_start_from_the_candidate(
+    capsys, loan_cfc, loan_proof_doc, tmp_path
+):
+    # drop what the value cuts erase, and their steps: the proof still replays
+    assumption = loan_proof_doc["assumptions"][0]
+    for attr in ("Gender = m", "SAT = 1100", "Degree = PhD"):
+        assert f", {attr}" in assumption
+        assumption = assumption.replace(f", {attr}", "")
+    conclusion = loan_proof_doc["steps"][-1]["conclusion"]
+    steps = loan_proof_doc["steps"][:11]
+    assert [s["rule"] for s in loan_proof_doc["steps"][11:]] == ["value-cut"] * 3
+    steps[-1]["conclusion"] = conclusion.replace("@ 0.6", "@ 0.99")
+    doc = {"assumptions": [assumption.replace("@ 0.6", "@ 0.99")], "steps": steps}
+    proof_path = tmp_path / "unanchored.proof.json"
+    proof_path.write_text(json.dumps(doc))
+    expected = (1, "", "FAIL: proof does not start from this case's candidate\n")
+    assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == expected
+
+
+def test_verify_proof_starts_from_the_case_s_candidate_block(capsys, data_dir, loan_cfc, tmp_path):
+    case = tmp_path / "override.cfc"
+    case.write_text(
+        (data_dir / "loan.cfc").read_text().replace(
+            "factual_prob 0.60;", "candidate { MS = div; SAT = 1100; }\nfactual_prob 0.60;"
+        )
+    )
+    db = tmp_path / "override.db"
+    db.write_text("MS = div, SAT = 1100 |- Loan = yes @ 0.5;")
+    proof_path = tmp_path / "override.proof.json"
+    code, _, _ = run(capsys, "derive", str(case), "--oracle", f"db:{db}", "--emit-proof", str(proof_path))
+    assert code == 0
+    assert run(capsys, "verify-proof", str(proof_path), str(case)) == (0, "OK: 12 steps replayed\n", "")
+    # the same proof does not start from the reduced point of the case without the block
+    expected = (1, "", "FAIL: proof does not start from this case's candidate\n")
+    assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == expected
+
+
+@pytest.mark.parametrize("kind", ["csv", "db"])
+@pytest.mark.parametrize("undecodable", [True, False], ids=["undecodable", "missing"])
+def test_oracle_load_error_names_the_file_once(capsys, loan_cfc, tmp_path, kind, undecodable):
+    path = tmp_path / f"oracle.{kind}"
+    if undecodable:
+        path.write_bytes(UNDECODABLE)
+    code, out, err = run(capsys, "check", loan_cfc, "--oracle", f"{kind}:{path}")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.count(str(path)) == 1
+
+
 # ---------------------------------------------------------------------------
 # Every input reaches a documented exit code; only a bug in cfcheck exits 5.
 

@@ -24,6 +24,7 @@ from cfcheck.dsl import (
     parse_case_or_graph,
     parse_context_item,
     parse_judgment,
+    parse_judgment_db,
     parse_probability_literal,
     parse_valueterm,
     render_context_item,
@@ -166,6 +167,36 @@ def test_parse_error_spans_in_bounds():
         lines = text.split("\n")
         assert 1 <= span.line <= len(lines) + 1
         assert 1 <= span.column <= len(lines[min(span.line, len(lines)) - 1]) + 2
+
+
+HEADER = "graph { A -> B; }\nfactual { A = x; }\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_case, "graph { A = x; }", "1:11: expected ';', found '='"),
+        (parse_case, "graph { A -> ; }", "1:14: expected an edge target, found ';'"),
+        (parse_case, "graph { A -> B; }\nfactual { A -> B; }", "2:13: expected '=', found '->'"),
+        (parse_case, HEADER + "intervene A = z + y;", "3:17: expected ';', found '+'"),
+        (parse_case, HEADER + "intervene A = z;\ntarget B -> w;", "4:10: expected '=', found '->'"),
+        (parse_judgment, "[A -> B] J(A=x) |- T = y @ 0.5", "1:10: expected 'I', found 'J'"),
+        (
+            parse_judgment,
+            "[A -> B, ] I(A=x) |- T = y @ 0.5",
+            "1:10: expected an edge, node or attribution, found ']'",
+        ),
+        (parse_judgment, "[A -> B] I(A=x + y) |- T = y @ 0.5", "1:16: expected ')', found '+'"),
+        (parse_judgment, "A |- T = y @ 0.5", "1:3: expected '=', found '|-'"),
+        (parse_judgment, "A = x T = y @ 0.5", "1:7: expected '|-', found 'T'"),
+        (parse_judgment, "A = x |- T -> y @ 0.5", "1:12: expected '=', found '->'"),
+        (parse_judgment_db, "A = x |- T = y @ 0.5", "1:21: expected ';', found end of input"),
+    ],
+)
+def test_each_production_reports_what_it_expected(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
 
 
 def test_probability_literals():
