@@ -13,7 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .kernel import Proof, ProofStep, RuleId
 from .model import (
@@ -70,8 +70,7 @@ _LEXEME_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):  # a tuple: cheaper to build than a frozen dataclass
     kind: str  # "word", "eof", or the punctuation text itself
     text: str
     line: int

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .closure import descendants, intervene_graph
-from .kernel import Proof, ProofStep, RuleError, RuleId, apply_step
+# engine.descendants is unused but kept: benchmark/tracing.py wraps it under this name
+from .closure import descendants, intervene_graph  # noqa: F401
+from .kernel import Proof, ProofStep, RuleError, RuleId, apply_step, value_cut_sets
 from .model import (
     AttrItem,
     Attribution,
@@ -70,7 +71,7 @@ def reduced_point(case: Case) -> DataPoint:
     """The imposed attribution followed by every factual attribution outside
     the intervention variable's effects, in factual order."""
     a_j = case.intervention.var
-    blocked = descendants(case.graph, a_j)
+    _, blocked = value_cut_sets(case.intervention_expr())
     attrs = [Attribution(a_j, case.intervention.value)]
     attrs += [a for a in case.factual if a.var not in blocked]
     return DataPoint(tuple(attrs))
@@ -125,10 +126,9 @@ def verify_candidate(case: Case, candidate: Judgment) -> Union[Proof, CandidateF
 def derive_counterfactual(case: Case, oracle: ClassifierOracle) -> tuple[Judgment, Proof]:
     """Construct (or verify, if the case overrides the candidate) the
     counterfactual judgment and its proof."""
-    if case.candidate_override is not None:
-        sigma = case.candidate_override
-    else:
-        _, sigma = build_candidate(case)
+    sigma = case.candidate_override
+    if sigma is None:
+        sigma = reduced_point(case)
     q = oracle.query(OracleQuery(sigma, case.target, case.target_value))
     candidate = candidate_judgment(case, sigma, q)
     result = verify_candidate(case, candidate)

@@ -21,7 +21,6 @@ from .model import (
     InterventionExpr,
     InterventionItem,
     Judgment,
-    remove_one,
 )
 
 
@@ -63,8 +62,9 @@ def apply_i_cut(j: Judgment) -> Judgment:
     """Erase the loose attribution imposed by the intervention."""
     item = _require_intervention(j)
     iv = item.expr.intervention
-    imposed = AttrItem(Attribution(iv.var, iv.value))
-    if imposed not in j.context:
+    try:
+        return j.erase(AttrItem(Attribution(iv.var, iv.value)))
+    except ValueError:
         others = [
             a.attribution.value
             for a in j.attr_items()
@@ -75,7 +75,6 @@ def apply_i_cut(j: Judgment) -> Judgment:
             "imposed-attribution-missing",
             f"no loose attribution {iv.var}={iv.value.token} in context{detail}",
         )
-    return Judgment(remove_one(j.context, imposed), j.target, j.value, j.prob)
 
 
 def apply_tri_cut(j: Judgment, edge: tuple[str, str]) -> Judgment:
@@ -93,31 +92,42 @@ def apply_tri_cut(j: Judgment, edge: tuple[str, str]) -> Judgment:
             "edge-not-in-factual-graph",
             f"edge {src} -> {dst} is not in the factual graph",
         )
-    edge_item = EdgeItem(src, dst)
-    if edge_item not in j.context:
+    try:
+        return j.erase(EdgeItem(src, dst))
+    except ValueError:
         raise RuleError("edge-not-in-context", f"edge {src} -> {dst} not in context")
-    return Judgment(remove_one(j.context, edge_item), j.target, j.value, j.prob)
 
 
 def apply_v_cut(j: Judgment, attr: Attribution) -> Judgment:
     """Erase a loose attribution that the factual data point assigns verbatim
     and whose variable is not an effect of the intervention variable."""
-    item = _require_intervention(j)
-    expr = item.expr
-    if attr not in expr.datapoint.attributions:
+    expr = _require_intervention(j).expr
+    factual, blocked = value_cut_sets(expr)
+    if attr not in factual:
         raise RuleError(
             "attribution-not-factual",
             f"{attr.var} with this value is not in the factual data point",
         )
-    if attr.var in descendants(expr.graph, expr.intervention.var):
+    if attr.var in blocked:
         raise RuleError(
             "descendant-of-intervention",
             f"{attr.var} is an effect of {expr.intervention.var} in the factual graph",
         )
-    attr_item = AttrItem(attr)
-    if attr_item not in j.context:
+    try:
+        return j.erase(AttrItem(attr))
+    except ValueError:
         raise RuleError("attribution-not-in-context", f"{attr.var} not loose in context")
-    return Judgment(remove_one(j.context, attr_item), j.target, j.value, j.prob)
+
+
+def value_cut_sets(expr: InterventionExpr) -> tuple[frozenset[Attribution], frozenset[str]]:
+    """What a value cut under `expr` checks: the factual attributions, and
+    the intervention variable with all its effects in the factual graph.
+    Computed once per expression object and kept on it."""
+    sets = expr.__dict__.get("_value_cut_sets")
+    if sets is None:
+        sets = frozenset(expr.datapoint), descendants(expr.graph, expr.intervention.var)
+        object.__setattr__(expr, "_value_cut_sets", sets)
+    return sets
 
 
 def intervention_axiom(e: InterventionExpr) -> Judgment:
@@ -131,8 +141,9 @@ def generic_cut(left: Judgment, right: Judgment) -> Judgment:
     """Cut a certainty premise against a matching loose attribution."""
     if left.prob != 1:
         raise RuleError("cut-premise-not-certain", f"left premise has probability {left.prob}")
-    needed = AttrItem(Attribution(left.target, left.value))
-    if needed not in right.context:
+    try:
+        rest = right.erase(AttrItem(Attribution(left.target, left.value)))
+    except ValueError:
         raise RuleError(
             "cut-attribution-missing",
             f"right context lacks {left.target}={left.value}",
@@ -141,8 +152,7 @@ def generic_cut(left: Judgment, right: Judgment) -> Judgment:
         raise RuleError(
             "two-interventions", "both premises carry an intervention expression"
         )
-    merged = left.context + remove_one(right.context, needed)
-    return Judgment(merged, right.target, right.value, right.prob)
+    return Judgment(left.context + rest.context, right.target, right.value, right.prob)
 
 
 # ---------------------------------------------------------------------------

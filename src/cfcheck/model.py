@@ -2,7 +2,9 @@
 data points, causal graphs, interventions, cases, judgments and probabilities.
 
 Everything here is immutable after construction and validated eagerly, so
-any value of these types that exists is structurally well-formed.
+any value of these types that exists is structurally well-formed. The one
+constructor that skips validation, `Judgment.erase`, can only make a
+judgment that would pass it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Union
 
 # Variables and atomic values: the one token rule, shared by the parser.
@@ -146,7 +149,11 @@ def variables_of(dp: DataPoint) -> frozenset[str]:
 
 def _cycle_or_order(succ: dict[str, list[str]]) -> tuple[Optional[list[str]], list[str]]:
     """Iterative depth-first search: one cycle [v0, ..., v0] or None, and,
-    when there is none, the nodes in topological order."""
+    when there is none, the nodes in topological order. Sorts each successor
+    list in place: roots and successors are visited in sorted order, so
+    neither answer depends on the hash seed."""
+    for targets in succ.values():
+        targets.sort()
     WHITE, GREY, BLACK = 0, 1, 2
     color = {n: WHITE for n in succ}
     finished: list[str] = []
@@ -284,7 +291,13 @@ class Case:
             object.__setattr__(self, "factual_prob", check_probability(self.factual_prob))
 
     def intervention_expr(self) -> InterventionExpr:
-        return InterventionExpr(self.graph, self.factual, self.intervention)
+        """The case's intervention expression, one object per case, so that
+        what the kernel caches on it is computed once."""
+        expr = self.__dict__.get("_expr")
+        if expr is None:
+            expr = InterventionExpr(self.graph, self.factual, self.intervention)
+            object.__setattr__(self, "_expr", expr)
+        return expr
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +346,10 @@ class Judgment:
 
     Contexts are stored as tuples for reproducible rendering, but equality
     is multiset equality: two judgments with permuted contexts are equal.
+
+    A judgment made by `erase` shares its premise's items and keeps which of
+    them are left as a bitmask, so a chain of cuts costs no O(E) copy per
+    step; its `context` tuple is built when first read.
     """
 
     context: tuple[ContextItem, ...]
@@ -350,12 +367,48 @@ class Judgment:
         for item in self.context:
             if isinstance(item, AttrItem) and item.attribution.var == self.target:
                 raise InvalidModel(f"target {self.target} attributed in its own context")
+        object.__setattr__(self, "_intervention", interventions[0] if interventions else None)
+        object.__setattr__(self, "_items", self.context)
+        object.__setattr__(self, "_alive", (1 << len(self.context)) - 1)
+
+    def __getattr__(self, name):
+        """Only an erased judgment's `context` is missing: build it once."""
+        if name != "context":
+            raise AttributeError(name)
+        bits = map("1".__eq__, reversed(bin(self._alive)[2:]))
+        context = tuple(compress(self._items, bits))
+        self.__dict__["context"] = context
+        return context
+
+    def erase(self, item: ContextItem) -> "Judgment":
+        """This judgment with the first occurrence of `item` erased from its
+        context; ValueError if there is none. It skips `__post_init__`: an
+        erasure adds no intervention item and no attribution of the target,
+        so what this judgment passed, its successor passes too."""
+        index = self.__dict__.get("_index")
+        if index is None:  # shared by every judgment erased from this one
+            index = {}
+            for k, it in enumerate(self._items):
+                index.setdefault(it, []).append(k)
+            object.__setattr__(self, "_index", index)
+        alive = self._alive
+        k = next((k for k in index.get(item, ()) if alive >> k & 1), None)
+        if k is None:
+            raise ValueError(f"not in context: {item!r}")
+        new = object.__new__(Judgment)
+        new.__dict__.update(
+            target=self.target,
+            value=self.value,
+            prob=self.prob,
+            _intervention=None if isinstance(item, InterventionItem) else self._intervention,
+            _items=self._items,
+            _alive=alive & ~(1 << k),
+            _index=index,
+        )
+        return new
 
     def intervention_item(self) -> Optional[InterventionItem]:
-        for item in self.context:
-            if isinstance(item, InterventionItem):
-                return item
-        return None
+        return self._intervention
 
     def edge_items(self) -> list[EdgeItem]:
         return [i for i in self.context if isinstance(i, EdgeItem)]
@@ -364,23 +417,26 @@ class Judgment:
         return [i for i in self.context if isinstance(i, AttrItem)]
 
     def __eq__(self, other):
+        """Judgments erased from equal items compare their bitmasks; others
+        compare contexts in stored order, then as multisets.
+
+        Equal but distinct item tuples are found equal once: `self` then
+        takes `other`'s tuple, and its later erasures share it, so replaying
+        a proof against its recorded conclusions compares each by identity."""
         if not isinstance(other, Judgment):
             return NotImplemented
-        return (
-            Counter(self.context) == Counter(other.context)
-            and self.target == other.target
-            and self.value == other.value
-            and self.prob == other.prob
-        )
+        if (self.target, self.value, self.prob) != (other.target, other.value, other.prob):
+            return False
+        if self._alive == other._alive:
+            if self._items is other._items:
+                return True
+            if self._items == other._items:
+                self.__dict__["_items"] = other._items
+                return True
+        return self.context == other.context or Counter(self.context) == Counter(other.context)
 
     def __hash__(self):
         return hash(
             (frozenset(Counter(self.context).items()), self.target, self.value, self.prob)
         )
 
-
-def remove_one(context: tuple[ContextItem, ...], item: ContextItem) -> tuple[ContextItem, ...]:
-    """Remove exactly one occurrence of an item from a context tuple."""
-    out = list(context)
-    out.remove(item)  # ValueError if absent; callers check first
-    return tuple(out)

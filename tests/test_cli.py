@@ -1,9 +1,12 @@
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -106,6 +109,28 @@ def test_check_candidate_rejected_exit_2(capsys, tmp_path, data_dir):
     db.write_text("MS = div, GAI = 65K |- Loan = yes @ 0.60;")
     code, _, err = run(capsys, "check", str(case), "--oracle", f"db:{db}")
     assert code == 2 and "not a counterfactual" in err
+
+
+def test_cycle_report_does_not_depend_on_the_hash_seed(tmp_path, data_dir):
+    case = tmp_path / "cyclic.cfc"
+    case.write_text(
+        (data_dir / "loan.cfc").read_text().replace(
+            "  SAT -> Degree;\n  MS -> Experience;\n", "  GAI -> Experience;\n"
+        )
+    )
+    src = str(Path(cli.__file__).parents[1])
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", "from cfcheck.cli import entry; entry()", "check", str(case),
+             "--oracle", f"db:{data_dir / 'loan.db'}"],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    assert [r.returncode for r in runs] == [3, 3]
+    assert "cycle: " in runs[0].stderr and runs[0].stderr == runs[1].stderr
 
 
 def test_check_batch_jobs(capsys, loan_cfc, data_dir):
