@@ -19,6 +19,7 @@ from .engine import (
     check_case,
     derive_counterfactual,
     verify_candidate,
+    verify_proof,
 )
 from .kernel import (
     Proof,

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 # engine.descendants is unused but kept: benchmark/tracing.py wraps it under this name
 from .closure import descendants, intervene_graph  # noqa: F401
-from .kernel import Proof, ProofStep, RuleError, RuleId, apply_step, value_cut_sets
+from .kernel import Proof, ProofCheck, ProofStep, RuleError, RuleId, apply_step, check_proof
+from .kernel import value_cut_sets
 from .model import (
     AttrItem,
     Attribution,
@@ -20,6 +21,7 @@ from .model import (
     ContextItem,
     DataPoint,
     EdgeItem,
+    InterventionExpr,
     InterventionItem,
     InvalidModel,
     Judgment,
@@ -67,14 +69,21 @@ def build_candidate(case: Case) -> tuple[CausalGraph, DataPoint]:
     return intervene_graph(case.graph, case.intervention.var), reduced_point(case)
 
 
-def reduced_point(case: Case) -> DataPoint:
+def reduced_point(case: Case, expr: Optional[InterventionExpr] = None) -> DataPoint:
     """The imposed attribution followed by every factual attribution outside
-    the intervention variable's effects, in factual order."""
+    the intervention variable's effects, in factual order. An `expr` known to
+    equal the case's intervention expression lends the blocked set cached on it."""
     a_j = case.intervention.var
-    _, blocked = value_cut_sets(case.intervention_expr())
+    _, blocked = value_cut_sets(expr or case.intervention_expr())
     attrs = [Attribution(a_j, case.intervention.value)]
     attrs += [a for a in case.factual if a.var not in blocked]
     return DataPoint(tuple(attrs))
+
+
+def candidate_point(case: Case, expr: Optional[InterventionExpr] = None) -> DataPoint:
+    """The counterfactual candidate: the case's `candidate` block, or else its reduced point."""
+    sigma = case.candidate_override
+    return reduced_point(case, expr) if sigma is None else sigma
 
 
 def candidate_judgment(case: Case, sigma: DataPoint, prob: Fraction) -> Judgment:
@@ -126,15 +135,32 @@ def verify_candidate(case: Case, candidate: Judgment) -> Union[Proof, CandidateF
 def derive_counterfactual(case: Case, oracle: ClassifierOracle) -> tuple[Judgment, Proof]:
     """Construct (or verify, if the case overrides the candidate) the
     counterfactual judgment and its proof."""
-    sigma = case.candidate_override
-    if sigma is None:
-        sigma = reduced_point(case)
+    sigma = candidate_point(case)
     q = oracle.query(OracleQuery(sigma, case.target, case.target_value))
     candidate = candidate_judgment(case, sigma, q)
     result = verify_candidate(case, candidate)
     if isinstance(result, CandidateFailure):
         raise CandidateRejected(result)
     return result.conclusion(), result
+
+
+def verify_proof(case: Case, proof: Proof) -> ProofCheck:
+    """Whether a proof certifies the case: it replays, it concludes exactly
+    `[case's intervention expression] |- target = value`, and each assumption
+    is the case's candidate judgment. A failure after replay keeps the conclusion."""
+    result = check_proof(proof)
+    if not result.ok:
+        return result
+    got, item = result.conclusion, InterventionItem(case.intervention_expr())
+    if (got.context, got.target, got.value) != ((item,), case.target, case.target_value):
+        reason = "proof does not conclude with this case's counterfactual"
+        return ProofCheck(False, None, "conclusion-not-counterfactual", reason, got)
+    # the expression object the replay's value cuts used, so its blocked set is cached
+    sigma = candidate_point(case, got.context[0].expr)
+    if any(a != candidate_judgment(case, sigma, a.prob) for a in proof.assumptions):
+        reason = "proof does not start from this case's candidate"
+        return ProofCheck(False, None, "assumption-not-candidate", reason, got)
+    return result
 
 
 def cf_verdict(
@@ -147,7 +173,7 @@ def cf_verdict(
     """Fair iff |p - q| <= epsilon, in exact rational arithmetic."""
     p = check_probability(p)
     q = check_probability(q)
-    epsilon = Fraction(epsilon)
+    epsilon = check_probability(epsilon)
     difference = abs(p - q)
     return Verdict(difference <= epsilon, p, q, difference, epsilon, cf_judgment, proof)
 

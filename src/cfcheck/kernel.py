@@ -7,7 +7,7 @@ append-only record of rule applications that the checker can re-execute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -198,6 +198,7 @@ class ProofCheck:
     step: Optional[int] = None
     code: Optional[str] = None
     reason: Optional[str] = None
+    conclusion: Optional[Judgment] = field(default=None, compare=False, repr=False)  # if replayed
 
 
 def _fail(step: int, code: str, reason: str) -> ProofCheck:
@@ -257,4 +258,4 @@ def check_proof(p: Proof) -> ProofCheck:
                 k, "conclusion-mismatch", "recorded conclusion differs from replayed one"
             )
         derived.append(got)
-    return ProofCheck(True)
+    return ProofCheck(True, conclusion=derived[-1])

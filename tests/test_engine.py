@@ -267,3 +267,15 @@ def test_verify_succeeds_on_constructed_candidates_randomized():
         assert check_proof(proof).ok
         assert len(judgment.context) == 1
         trials += 1
+
+
+def test_cf_verdict_and_check_case_reject_a_float_or_out_of_range_epsilon(loan_case):
+    judgment, proof = derive_counterfactual(loan_case, ConstOracle(Fraction(3, 5)))
+    p = Fraction(3, 5)
+    for epsilon in (0.1, Fraction(-1, 10), Fraction(11, 10)):
+        with pytest.raises(InvalidModel):
+            cf_verdict(p, p + Fraction(1, 10), epsilon, judgment, proof)
+        with pytest.raises(InvalidModel):
+            check_case(loan_case, ConstOracle(p), epsilon)
+    verdict = cf_verdict(p, p + Fraction(1, 10), 1, judgment, proof)  # an exact int is fine
+    assert verdict.fair and verdict.epsilon == 1

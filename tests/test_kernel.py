@@ -407,3 +407,10 @@ def test_check_proof_rejects_intervention_in_assumption(loan_proof, prob):
     result = check_proof(Proof((assumed,), ()))
     assert not result.ok and result.step is None
     assert result.code == "intervention-in-assumption"
+
+
+def test_generic_cut_rejects_two_intervention_expressions(loan_expr, weakened):
+    # the right premise holds MS = div, so only the second expression is at fault
+    with pytest.raises(RuleError) as exc:
+        generic_cut(intervention_axiom(loan_expr), weakened)
+    assert exc.value.code == "two-interventions"

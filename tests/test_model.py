@@ -14,6 +14,9 @@ from cfcheck import (
     DataPoint,
     EdgeItem,
     GraphCycle,
+    Intervention,
+    InterventionExpr,
+    InterventionItem,
     InvalidModel,
     Judgment,
     Sum,
@@ -158,3 +161,18 @@ def test_graph_adjacency_and_order_match_edges():
         for v in g.nodes:
             assert g.children(v) == {d for s, d in g.edges if s == v}
             assert g.parents(v) == {s for s, d in g.edges if d == v}
+
+
+def test_intervention_value_must_be_atomic():
+    for value in (Sum((Atom("a"), Atom("b"))), Complement(Atom("a"))):
+        with pytest.raises(InvalidModel, match="atomic"):
+            Intervention("A", value)
+
+
+def test_judgment_holds_at_most_one_intervention_expression():
+    g = CausalGraph({"A", "B"}, {("A", "B")})
+    e = InterventionExpr(g, DataPoint(()), Intervention("A", Atom("x")))
+    f = InterventionExpr(g, DataPoint(()), Intervention("A", Atom("z")))
+    for items in ((e, e), (e, f)):
+        with pytest.raises(InvalidModel, match="at most one intervention"):
+            Judgment(tuple(map(InterventionItem, items)), "B", Atom("y"), Fraction(1))
