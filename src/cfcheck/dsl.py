@@ -1,7 +1,8 @@
 """Surface syntax: parsing and pretty-printing of case files, graphs,
 judgments, judgment databases and serialized proofs.
 
-Parsing tracks source spans so every error points at the offending text.
+Tokens keep their source offsets, and a span's line and column are counted
+only when an error is raised, so every error points at the offending text.
 Rendering is canonical (intervention item first, edges sorted, attributions
 in stored order), and parse(render(x)) == x for every well-formed value.
 """
@@ -61,42 +62,33 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer.
 
-# One lexeme per match, after any blanks: a word (the model's token rule, so
-# every word is a valid token), punctuation, a newline, a comment, or one
-# character that starts no lexeme.
+# One lexeme per match, after any whitespace: a word (the model's token rule,
+# so every word is a valid token), punctuation, a comment, or one character
+# that starts no lexeme.
 _LEXEME_RE = re.compile(
-    rf"[^\S\n]*(?:(?P<word>{TOKEN_PATTERN})|(?P<punct>->|\|-|[{{}}()\[\];,=+!@/])"
-    r"|(?P<nl>\n)|#[^\n]*|(?P<bad>.)|\Z)"
+    rf"\s*(?:(?P<word>{TOKEN_PATTERN})|(?P<punct>->|\|-|[{{}}()\[\];,=+!@/])"
+    r"|#[^\n]*|(?P<bad>.)|\Z)"
 )
 
 
 class Token(NamedTuple):  # a tuple: cheaper to build than a frozen dataclass
-    kind: str  # "word", "eof", or the punctuation text itself
+    kind: str  # "word", "eof", "bad", or the punctuation text itself
     text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, max(len(self.text), 1))
+    start: int  # offset in the source
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending at `eof` or at the first `bad` character."""
     toks: list[Token] = []
-    line, line_start = 1, 0
     for m in _LEXEME_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:  # a comment, or blanks at the end
             continue
         lexeme = m.group(kind)
-        col = m.end() - len(lexeme) - line_start + 1
-        if kind == "nl":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(SourceSpan(line, col, 1), "a token", repr(lexeme))
-        else:
-            toks.append(Token("word" if kind == "word" else lexeme, lexeme, line, col))
-    toks.append(Token("eof", "", line, len(text) - line_start + 1))
+        toks.append(Token(lexeme if kind == "punct" else kind, lexeme, m.start(kind)))
+        if kind == "bad":
+            return toks
+    toks.append(Token("eof", "", len(text)))
     return toks
 
 
@@ -115,29 +107,6 @@ def render_probability(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator}"
 
 
-def _decimal_to_fraction(text: str, span: SourceSpan) -> Fraction:
-    whole, dot, frac = text.partition(".")
-    if not whole.isdigit() or (dot and not frac.isdigit()):
-        raise ParseError(span, "a decimal probability", repr(text))
-    if len(frac) > MAX_FRACTION_DIGITS:
-        raise ParseError(
-            span, f"at most {MAX_FRACTION_DIGITS} fractional digits", repr(text)
-        )
-    value = Fraction(_numeral(whole, span))
-    if frac:
-        value += Fraction(int(frac), 10 ** len(frac))
-    if value > 1:
-        raise ParseError(span, "a probability in [0, 1]", repr(text))
-    return value
-
-
-def _numeral(digits: str, span: SourceSpan) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # longer than the interpreter's int() digit limit
-        raise ParseError(span, f"at most {sys.get_int_max_str_digits()} digits", str(len(digits)))
-
-
 def parse_probability_literal(text: str) -> Fraction:
     """Parse a standalone probability: a decimal or a `num/den` rational."""
     return _parse_all(text, _Parser.probability, "end of probability")
@@ -150,11 +119,14 @@ _Item = Union[tuple[str, str], Attribution, str]  # an edge, an attribution or a
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.i = 0
         # where each attributed or intervened variable, and each edge, was last read
         self.seen: dict[Union[str, tuple[str, str]], Token] = {}
+        if self.toks[-1].kind == "bad":  # before any other error in the text
+            self.error("a token", self.toks[-1])
 
     def peek(self) -> Token:
         return self.toks[self.i]  # advance never moves past eof
@@ -168,10 +140,14 @@ class _Parser:
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind
 
-    def error(self, expected: str, tok: Optional[Token] = None):
+    def error(self, expected: str, tok: Optional[Token] = None, found: Optional[str] = None):
+        """Raise a ParseError at `tok`, the next token by default."""
         tok = tok or self.peek()
-        found = repr(tok.text) if tok.kind != "eof" else "end of input"
-        raise ParseError(tok.span, expected, found)
+        if found is None:
+            found = repr(tok.text) if tok.kind != "eof" else "end of input"
+        line = self.text.count("\n", 0, tok.start) + 1
+        column = tok.start - self.text.rfind("\n", 0, tok.start)
+        raise ParseError(SourceSpan(line, column, max(len(tok.text), 1)), expected, found)
 
     def expect(self, kind: str, expected: Optional[str] = None) -> Token:
         if not self.at(kind):
@@ -202,7 +178,7 @@ class _Parser:
         try:
             return Sum(tuple(members))
         except InvalidModel as e:
-            raise ParseError(start.span, "distinct sum members", str(e))
+            self.error("distinct sum members", start, str(e))
 
     def term(self, depth: int) -> ValueTerm:
         if self.at("!") or self.at("("):
@@ -223,14 +199,34 @@ class _Parser:
         if self.at("/"):
             self.advance()
             den = self.word("a denominator")
-            if not tok.text.isdigit() or not den.text.isdigit():
-                self.error("an integer rational", tok)
+            for part in (tok, den):
+                if not part.text.isdigit():
+                    self.error("an integer rational", part)
             try:
-                num = _numeral(tok.text, tok.span)
-                return check_probability(Fraction(num, _numeral(den.text, den.span)))
+                num = self.numeral(tok, tok.text)
+                return check_probability(Fraction(num, self.numeral(den, den.text)))
             except (ZeroDivisionError, InvalidModel):
-                raise ParseError(tok.span, "a probability in [0, 1]", f"{tok.text}/{den.text}")
-        return _decimal_to_fraction(tok.text, tok.span)
+                self.error("a probability in [0, 1]", tok, f"{tok.text}/{den.text}")
+        return self.decimal(tok)
+
+    def decimal(self, tok: Token) -> Fraction:
+        whole, dot, frac = tok.text.partition(".")
+        if not whole.isdigit() or (dot and not frac.isdigit()):
+            self.error("a decimal probability", tok)
+        if len(frac) > MAX_FRACTION_DIGITS:
+            self.error(f"at most {MAX_FRACTION_DIGITS} fractional digits", tok)
+        value = Fraction(self.numeral(tok, whole))
+        if frac:
+            value += Fraction(int(frac), 10 ** len(frac))
+        if value > 1:
+            self.error("a probability in [0, 1]", tok)
+        return value
+
+    def numeral(self, tok: Token, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # longer than the interpreter's int() digit limit
+            self.error(f"at most {sys.get_int_max_str_digits()} digits", tok, str(len(digits)))
 
     # -- items, interventions and lists ---------------------------------------
 
@@ -292,7 +288,7 @@ class _Parser:
             attrs = DataPoint(tuple(i for i in items if isinstance(i, Attribution)))
             return InterventionExpr(graph, attrs, intervention)
         except InvalidModel as e:
-            raise ParseError(open_tok.span, "a well-formed intervention expression", str(e))
+            self.error("a well-formed intervention expression", open_tok, str(e))
 
     def context_item(self) -> ContextItem:
         if self.at("["):
@@ -309,7 +305,7 @@ class _Parser:
         try:
             return Judgment(tuple(context), conclusion.var, conclusion.value, prob)
         except InvalidModel as e:
-            raise ParseError(start.span, "a well-formed judgment", str(e))
+            self.error("a well-formed judgment", start, str(e))
 
     # -- case files -----------------------------------------------------------
 
@@ -323,8 +319,7 @@ class _Parser:
             return _graph(items)
         except GraphCycle as e:
             tokens = [self.seen[edge] for edge in zip(e.cycle, e.cycle[1:])]
-            last = max(tokens, key=lambda t: (t.line, t.col))
-            raise ParseError(last.span, "an acyclic graph", str(e))
+            self.error("an acyclic graph", max(tokens, key=lambda t: t.start), str(e))
 
     def attr_block(self, name: str) -> DataPoint:
         self.keyword(name)
@@ -349,14 +344,13 @@ class _Parser:
             prob = None
             if self.peek().text == "factual_prob":
                 self.advance()
-                tok = self.word("a decimal probability")
-                prob = _decimal_to_fraction(tok.text, tok.span)
+                prob = self.decimal(self.word("a decimal probability"))
                 self.expect(";")
 
             self.expect("eof", "end of case file")
             return Case(graph, factual, intervention, target.var, target.value, prob, candidate)
         except InvalidModel as e:
-            raise ParseError(self.seen[e.var].span, "a well-formed case", str(e))
+            self.error("a well-formed case", self.seen[e.var], str(e))
 
 
 def _graph(items: list[_Item]) -> CausalGraph:
@@ -374,14 +368,14 @@ def _graph(items: list[_Item]) -> CausalGraph:
 
 def _parse_all(text: str, rule, what: str):
     """Parse the whole of `text` with one parser rule."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     result = rule(p)
     p.expect("eof", what)
     return result
 
 
 def parse_case(text: str) -> Case:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     return p.case(p.graph_block())
 
 
@@ -391,7 +385,7 @@ def parse_graph(text: str) -> CausalGraph:
 
 def parse_case_or_graph(text: str) -> Union[Case, CausalGraph]:
     """Parse either a full case file or a bare graph block."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     g = p.graph_block()
     return g if p.at("eof") else p.case(g)
 
@@ -406,7 +400,7 @@ def parse_valueterm(text: str) -> ValueTerm:
 
 def parse_judgment_db(text: str) -> list[Judgment]:
     """Parse a judgment database: judgments separated by `;`."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     return p.terminated(p.judgment, "eof")
 
 

@@ -95,6 +95,8 @@ def test_check_oracle_error_exit_4(capsys, loan_cfc, tmp_path):
 def test_check_bad_oracle_spec_exit_3(capsys, loan_cfc):
     code, _, err = run(capsys, "check", loan_cfc, "--oracle", "nope")
     assert code == 3
+    code, _, err = run(capsys, "check", loan_cfc, "--oracle", "foo:bar")
+    assert (code, err) == (3, "unknown oracle kind: 'foo'\n")
 
 
 def test_check_candidate_rejected_exit_2(capsys, tmp_path, data_dir):

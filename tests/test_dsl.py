@@ -191,6 +191,50 @@ HEADER = "graph { A -> B; }\nfactual { A = x; }\n"
         (parse_judgment, "A = x T = y @ 0.5", "1:7: expected '|-', found 'T'"),
         (parse_judgment, "A = x |- T -> y @ 0.5", "1:12: expected '=', found '->'"),
         (parse_judgment_db, "A = x |- T = y @ 0.5", "1:21: expected ';', found end of input"),
+        (
+            parse_judgment,
+            "A = x |- B = y @ 1/2.0",
+            "1:20: expected an integer rational, found '2.0'",
+        ),
+        (
+            parse_judgment,
+            "A = x |- B = y @ 1.5/2",
+            "1:18: expected an integer rational, found '1.5'",
+        ),
+        (
+            parse_judgment,
+            "[A -> B, B -> A] I(A=x) |- C = y @ 1",
+            "1:1: expected a well-formed intervention expression, found cycle: A -> B -> A",
+        ),
+        (
+            parse_judgment,
+            "B -> C,\n  [A = x, A = y] I(A=z) |- C = y @ 1",
+            "2:3: expected a well-formed intervention expression, "
+            "found duplicate variable in data point: A",
+        ),
+        (
+            parse_judgment,
+            "A = x |- A = y @ 1",
+            "1:1: expected a well-formed judgment, found target A attributed in its own context",
+        ),
+        (
+            parse_judgment,
+            "[A] I(A=x), [B] I(B=y) |- C = y @ 1",
+            "1:1: expected a well-formed judgment, "
+            "found a context may hold at most one intervention expression",
+        ),
+        (  # CRLF line ends, a tab and a form feed: only a newline starts a line
+            parse_case,
+            "graph { A -> B; }\r\nfactual {\r\n\tA = x;\x0c A = y; }\r\n"
+            "intervene A = b;\r\ntarget B = y;\r\n",
+            "3:10: expected a well-formed case, found duplicate variable in data point: A",
+        ),
+        (parse_case, "graph { A -> B; }\n\n  $", "3:3: expected a token, found '$'"),
+        (
+            parse_judgment_db,
+            "A = x |- T = y @ 0.5\n# end",
+            "2:6: expected ';', found end of input",
+        ),
     ],
 )
 def test_each_production_reports_what_it_expected(parse, text, message):

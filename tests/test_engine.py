@@ -14,6 +14,7 @@ from cfcheck import (
     DataPoint,
     EdgeItem,
     Intervention,
+    InterventionItem,
     InvalidModel,
     Judgment,
     OracleError,
@@ -169,6 +170,17 @@ def test_verify_candidate_cuts_one_copy_of_the_imposed_attribution(loan_case):
     assert isinstance(failure, CandidateFailure)
     (item, code, _), = failure.items
     assert item == imposed and code == "attribution-not-factual"
+
+
+def test_verify_candidate_refuses_a_candidate_with_an_intervention_expression(loan_case):
+    candidate = Judgment(
+        (InterventionItem(loan_case.intervention_expr()),),
+        loan_case.target,
+        loan_case.target_value,
+        Fraction(3, 5),
+    )
+    with pytest.raises(InvalidModel, match="must not carry an intervention expression"):
+        verify_candidate(loan_case, candidate)
 
 
 def test_candidate_override_rejected(loan_case, loan_graph, loan_factual):
