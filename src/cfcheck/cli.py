@@ -2,13 +2,15 @@
 
 Exit codes: 0 fair (or success for non-verdict commands), 1 unfair or
 failed proof check, 2 candidate rejected as a counterfactual, 3 parse or
-configuration error, 4 oracle error, 5 internal error (a bug, never a verdict).
+configuration error, or output that cannot be written (a reader that closed
+early), 4 oracle error, 5 internal error (a bug, never a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +53,7 @@ _ERRORS = (
     ((InvalidModel, ConsistencyError, ConfigError), EXIT_CONFIG, ""),
     ((CandidateRejected,), EXIT_NOT_COUNTERFACTUAL, ""),
     ((OracleError,), EXIT_ORACLE, "oracle error: "),
+    ((BrokenPipeError,), EXIT_CONFIG, "cannot write output: "),
     ((Exception,), EXIT_INTERNAL, "internal error: {type}: "),
 )
 
@@ -174,8 +177,9 @@ def cmd_closure(args) -> int:
     if args.of:
         print(", ".join(sorted(descendants(graph, args.of))))
         return 0
-    for src, dst, witnesses in mediate_closure(graph):
-        print(f"{src} -> {dst} via {{{', '.join(sorted(witnesses))}}}")
+    write = sys.stdout.write
+    for src, dst, witnesses in mediate_closure(graph).sorted_entries():
+        write(f"{src} -> {dst} via {{{', '.join(witnesses)}}}\n")
     return 0
 
 
@@ -235,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # so a reader that closed early fails here, not at exit
+        return code
     except Exception as e:
         code, message = _error(e)
         print(message, file=sys.stderr)
@@ -243,4 +249,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        print(end="", flush=True)
+    except OSError:  # main has reported it; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    entry()

@@ -5,6 +5,7 @@ edge-erasing graph intervention.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator, Optional
 
 from .model import CausalGraph
@@ -42,6 +43,15 @@ class MediateRelation:
         for a in sorted(self._desc):
             for b in sorted(self._desc[a]):
                 yield a, b, self.witnesses(a, b)
+
+    def sorted_entries(self) -> Iterator[tuple[str, str, list[str]]]:
+        """Iteration's entries, each witness set a list in name order."""
+        anc = self._anc
+        for a in sorted(self._desc):
+            names = sorted(self._desc[a])  # once per cause, then filtered by each Anc(b)
+            rest = [v for v in names if v != a]
+            for b in names:
+                yield a, b, [a] if b == a else list(compress(rest, map(anc[b].__contains__, rest)))
 
     def __len__(self):
         return sum(map(len, self._desc.values()))

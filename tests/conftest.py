@@ -90,6 +90,29 @@ def random_dag(rng: random.Random, max_nodes: int = 10, density: float = 0.5) ->
     return CausalGraph(frozenset(nodes), frozenset(edges))
 
 
+# Names whose string order differs from their index order: v10 sorts before
+# v2, B before a, and _x and x.1 between the letters.
+UNORDERED_NAMES = ("v10", "v2", "v1", "B", "a", "A_", "_x", "x.1", "x.10", "x.2", "Z9", "b")
+
+
+def relabelled_dag(rng: random.Random) -> CausalGraph:
+    """A random DAG whose nodes take names from UNORDERED_NAMES at random, so
+    name order and topological order disagree."""
+    g = random_dag(rng)
+    order = sorted(g.nodes, key=lambda v: int(v[1:]))
+    name = dict(zip(order, rng.sample(UNORDERED_NAMES, len(order))))
+    return CausalGraph(
+        frozenset(name.values()), frozenset((name[s], name[d]) for s, d in g.edges)
+    )
+
+
+def graph_text(g: CausalGraph) -> str:
+    """The graph in the DSL's bare graph syntax."""
+    return "graph {\n" + "".join(f"  {v};\n" for v in sorted(g.nodes)) + "".join(
+        f"  {s} -> {d};\n" for s, d in sorted(g.edges)
+    ) + "}\n"
+
+
 def brute_force_closure(g: CausalGraph) -> dict[tuple[str, str], frozenset[str]]:
     """Independent oracle: enumerate every simple path and union its nodes
     (source excluded); add reflexive entries."""

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cfcheck import cli
 from cfcheck.cli import main
-from conftest import DATA
+from conftest import DATA, brute_force_closure, graph_text, relabelled_dag
 
 
 @pytest.fixture
@@ -234,6 +235,58 @@ def test_closure_edgeless_graph(capsys, tmp_path):
     code, out, _ = run(capsys, "closure", str(path))
     assert code == 0
     assert sorted(out.strip().splitlines()) == ["A -> A via {A}", "B -> B via {B}"]
+
+
+def test_closure_report_matches_brute_force_whatever_the_name_order(capsys, tmp_path):
+    rng = random.Random(20261018)
+    path = tmp_path / "g.graph"
+    for _ in range(100):
+        g = relabelled_dag(rng)
+        path.write_text(graph_text(g))
+        expected = brute_force_closure(g)
+        code, out, _ = run(capsys, "closure", str(path))
+        assert code == 0
+        assert out == "".join(
+            f"{a} -> {b} via {{{', '.join(sorted(expected[a, b]))}}}\n" for a, b in sorted(expected)
+        )
+
+
+def _python(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter on this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, *argv], env=env, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("command", ["closure", "check", "derive"])
+def test_closed_stdout_exits_3_with_one_line(data_dir, command):
+    oracle = [] if command == "closure" else ["--oracle", f"db:{data_dir / 'loan_unfair.db'}"]
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the first byte is written
+    try:
+        proc = _python("-c", "from cfcheck.cli import entry; entry()", command,
+                       str(data_dir / "loan.cfc"), *oracle, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("cannot write output: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_stdout_on_a_full_device_is_one_error_line_not_a_verdict(data_dir):
+    with open("/dev/full", "w") as full:
+        proc = _python("-c", "from cfcheck.cli import entry; entry()", "check",
+                       str(data_dir / "loan.cfc"), "--oracle", f"db:{data_dir / 'loan_unfair.db'}",
+                       stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode not in (0, 1)
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("module", ["cfcheck", "cfcheck.cli"])
+def test_module_form_gives_the_command_s_verdict(data_dir, module):
+    proc = _python("-W", "error", "-m", module, "check", str(data_dir / "loan.cfc"),
+                   "--oracle", f"db:{data_dir / 'loan_unfair.db'}", capture_output=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.startswith("UNFAIR ")
 
 
 def test_check_external_command_oracle(capsys, loan_cfc, tmp_path):

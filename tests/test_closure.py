@@ -1,5 +1,7 @@
+import io
 import random
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -11,7 +13,8 @@ from cfcheck import (
     mediate_closure,
 )
 from cfcheck.model import find_cycle as check_acyclic
-from conftest import brute_force_closure, random_dag
+from cfcheck.cli import main
+from conftest import brute_force_closure, graph_text, random_dag, relabelled_dag
 
 
 def test_check_acyclic(loan_graph):
@@ -95,6 +98,44 @@ def test_closure_keeps_no_witness_table():
         tracemalloc.stop()
     assert len(edges) == 590 and count == len(mediate_closure(g))
     assert peak < 16 * 2**20
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_closure_report_keeps_no_witness_table(tmp_path):
+    # the graph above, printed through the CLI into a sink that keeps nothing
+    n = 200
+    rng = random.Random(n)
+    nodes = [f"v{i}" for i in range(n)]
+    edges = {
+        (nodes[i], nodes[j])
+        for i in range(n)
+        for j in range(i + 1, min(n, i + 6))
+        if rng.random() < 0.6
+    }
+    path = tmp_path / "g.graph"
+    path.write_text(graph_text(CausalGraph(frozenset(nodes), frozenset(edges))))
+    tracemalloc.start()
+    try:
+        with redirect_stdout(_Discard()):
+            code = main(["closure", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 590 and code == 0
+    assert peak < 16 * 2**20
+
+
+def test_sorted_entries_list_each_witness_set_in_name_order():
+    rng = random.Random(20261018)
+    for _ in range(250):
+        rel = mediate_closure(relabelled_dag(rng))
+        assert list(rel.sorted_entries()) == [
+            (a, b, sorted(rel.witnesses(a, b))) for a, b, _ in rel
+        ]
 
 
 def test_descendant_properties_randomized():

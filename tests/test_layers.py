@@ -6,7 +6,7 @@ from pathlib import Path
 
 import cfcheck
 
-LAYERS = ["model", "closure", "kernel", "dsl", "oracle", "engine", "cli", "__init__"]
+LAYERS = ["model", "closure", "kernel", "dsl", "oracle", "engine", "cli", "__init__", "__main__"]
 SOURCES = sorted(Path(cfcheck.__file__).parent.glob("*.py"))
 
 
