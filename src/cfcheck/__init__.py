@@ -32,8 +32,6 @@ from .kernel import (
     apply_tri_cut,
     apply_v_cut,
     check_proof,
-    generic_cut,
-    intervention_axiom,
 )
 from .model import (
     Atom,
@@ -51,7 +49,6 @@ from .model import (
     Judgment,
     Sum,
     UnknownVariable,
-    value_matches,
     variables_of,
 )
 from .oracle import (

@@ -3,7 +3,7 @@
 Exit codes: 0 fair (or success for non-verdict commands), 1 unfair or
 failed proof check, 2 candidate rejected as a counterfactual, 3 parse or
 configuration error, or output that cannot be written (a reader that closed
-early), 4 oracle error, 5 internal error (a bug, never a verdict).
+early, a full device), 4 oracle error, 5 internal error (a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class ConfigError(Exception):
     pass
 
 
+class OutputError(Exception):
+    """Standard output cannot be written: its reader has gone, or its device is full."""
+
+
 # Every error a command reports: (exception types, exit code, message prefix).
 # The first row that matches wins; the last one catches what no other does.
 _ERRORS = (
@@ -53,7 +57,7 @@ _ERRORS = (
     ((InvalidModel, ConsistencyError, ConfigError), EXIT_CONFIG, ""),
     ((CandidateRejected,), EXIT_NOT_COUNTERFACTUAL, ""),
     ((OracleError,), EXIT_ORACLE, "oracle error: "),
-    ((BrokenPipeError,), EXIT_CONFIG, "cannot write output: "),
+    ((OutputError,), EXIT_CONFIG, "cannot write output: "),
     ((Exception,), EXIT_INTERNAL, "internal error: {type}: "),
 )
 
@@ -62,6 +66,15 @@ def _error(e: Exception, head: str = "") -> tuple[int, str]:
     """The exit code and the one-line stderr message of any error."""
     code, prefix = next((code, prefix) for types, code, prefix in _ERRORS if isinstance(e, types))
     return code, f"{head}{prefix.format(type=type(e).__name__)}{e}"
+
+
+def _write(lines) -> None:
+    """Write and flush stdout now, not at exit; an OSError doing so is an OutputError."""
+    try:
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except OSError as e:
+        raise OutputError(e) from e
 
 
 def load_oracle(spec: str) -> ClassifierOracle:
@@ -150,7 +163,7 @@ def cmd_check(args) -> int:
             args.casefile,
         ):
             if out:
-                print(out)
+                _write([out + "\n"])
             if err:
                 print(err, file=sys.stderr)
             worst = max(worst, code)
@@ -161,7 +174,7 @@ def cmd_derive(args) -> int:
     oracle = load_oracle(args.oracle)
     case = dsl.parse_case(_read(args.casefile))
     judgment, proof = derive_counterfactual(case, oracle)
-    print(dsl.render_judgment(judgment))
+    _write([dsl.render_judgment(judgment) + "\n"])
     if args.emit_proof:
         try:
             with open(args.emit_proof, "w", encoding="utf-8") as f:
@@ -175,11 +188,9 @@ def cmd_closure(args) -> int:
     parsed = dsl.parse_case_or_graph(_read(args.file))
     graph = parsed if isinstance(parsed, CausalGraph) else parsed.graph
     if args.of:
-        print(", ".join(sorted(descendants(graph, args.of))))
+        _write([", ".join(sorted(descendants(graph, args.of))) + "\n"])
         return 0
-    write = sys.stdout.write
-    for src, dst, witnesses in mediate_closure(graph).sorted_entries():
-        write(f"{src} -> {dst} via {{{', '.join(witnesses)}}}\n")
+    _write(f"{a} -> {b} via {{{', '.join(w)}}}\n" for a, b, w in mediate_closure(graph).sorted_entries())
     return 0
 
 
@@ -187,7 +198,7 @@ def cmd_verify_proof(args) -> int:
     proof = dsl.parse_proof(_read(args.prooffile))
     result = verify_proof(dsl.parse_case(_read(args.casefile)), proof)
     if result.ok:
-        print(f"OK: {len(proof.steps)} steps replayed")
+        _write([f"OK: {len(proof.steps)} steps replayed\n"])
         return 0
     where = "" if result.step is None else f" at step {result.step}"
     # a proof that replays keeps its conclusion; a case check failure prints no code
@@ -239,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        print(end="", flush=True)  # so a reader that closed early fails here, not at exit
-        return code
+        return args.func(args)
     except Exception as e:
         code, message = _error(e)
         print(message, file=sys.stderr)

@@ -31,9 +31,6 @@ class MediateRelation:
     def entries(self) -> frozenset[tuple[str, str, frozenset[str]]]:
         return frozenset(self)
 
-    def pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((a, b) for a, d in self._desc.items() for b in d)
-
     def witnesses(self, a: str, b: str) -> Optional[frozenset[str]]:
         if b not in self._desc.get(a, ()):
             return None

@@ -379,10 +379,6 @@ def parse_case(text: str) -> Case:
     return p.case(p.graph_block())
 
 
-def parse_graph(text: str) -> CausalGraph:
-    return _parse_all(text, _Parser.graph_block, "end of graph file")
-
-
 def parse_case_or_graph(text: str) -> Union[Case, CausalGraph]:
     """Parse either a full case file or a bare graph block."""
     p = _Parser(text)
@@ -392,10 +388,6 @@ def parse_case_or_graph(text: str) -> Union[Case, CausalGraph]:
 
 def parse_judgment(text: str) -> Judgment:
     return _parse_all(text, _Parser.judgment, "end of judgment")
-
-
-def parse_valueterm(text: str) -> ValueTerm:
-    return _parse_all(text, _Parser.valueterm, "end of value term")
 
 
 def parse_judgment_db(text: str) -> list[Judgment]:

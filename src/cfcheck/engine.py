@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-# engine.descendants is unused but kept: benchmark/tracing.py wraps it under this name
+# engine.descendants is unused but kept: benchmark/test_benchmark.py looks it up in this module
 from .closure import descendants, intervene_graph  # noqa: F401
 from .kernel import Proof, ProofCheck, ProofStep, RuleError, RuleId, apply_step, check_proof
 from .kernel import value_cut_sets

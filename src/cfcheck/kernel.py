@@ -1,5 +1,5 @@
-"""The proof kernel: the four structural rules plus the generic cut they
-contract, and an independent replay checker for proof objects.
+"""The proof kernel: the four structural rules and an independent replay
+checker for proof objects.
 
 Every rule is a pure function from judgments to judgments; a Proof is an
 append-only record of rule applications that the checker can re-execute.
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from .closure import descendants
@@ -128,31 +127,6 @@ def value_cut_sets(expr: InterventionExpr) -> tuple[frozenset[Attribution], froz
         sets = frozenset(expr.datapoint), descendants(expr.graph, expr.intervention.var)
         object.__setattr__(expr, "_value_cut_sets", sets)
     return sets
-
-
-def intervention_axiom(e: InterventionExpr) -> Judgment:
-    """The intervened variable receives the imposed value with certainty."""
-    return Judgment(
-        (InterventionItem(e),), e.intervention.var, e.intervention.value, Fraction(1)
-    )
-
-
-def generic_cut(left: Judgment, right: Judgment) -> Judgment:
-    """Cut a certainty premise against a matching loose attribution."""
-    if left.prob != 1:
-        raise RuleError("cut-premise-not-certain", f"left premise has probability {left.prob}")
-    try:
-        rest = right.erase(AttrItem(Attribution(left.target, left.value)))
-    except ValueError:
-        raise RuleError(
-            "cut-attribution-missing",
-            f"right context lacks {left.target}={left.value}",
-        )
-    if left.intervention_item() is not None and right.intervention_item() is not None:
-        raise RuleError(
-            "two-interventions", "both premises carry an intervention expression"
-        )
-    return Judgment(left.context + rest.context, right.target, right.value, right.prob)
 
 
 # ---------------------------------------------------------------------------

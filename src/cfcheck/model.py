@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 # Variables and atomic values: the one token rule, shared by the parser.
 TOKEN_PATTERN = r"[A-Za-z0-9_.]+"
@@ -86,21 +86,6 @@ class Complement:
 ValueTerm = Union[Atom, Sum, Complement]
 
 
-def value_matches(term: ValueTerm, observed: str) -> bool:
-    """Decide whether an observed atomic token satisfies a value term.
-
-    An atom matches itself, a sum matches if any member does, and a
-    complement matches if its inner term does not.
-    """
-    if isinstance(term, Atom):
-        return term.token == observed
-    if isinstance(term, Sum):
-        return any(value_matches(m, observed) for m in term.members)
-    if isinstance(term, Complement):
-        return not value_matches(term.inner, observed)
-    raise TypeError(f"not a value term: {term!r}")
-
-
 # ---------------------------------------------------------------------------
 # Attributions and data points.
 
@@ -127,12 +112,6 @@ class DataPoint:
             if a.var in seen:
                 raise InvalidModel(f"duplicate variable in data point: {a.var}", a.var)
             seen.add(a.var)
-
-    def value_of(self, var: str) -> Optional[ValueTerm]:
-        for a in self.attributions:
-            if a.var == var:
-                return a.value
-        return None
 
     def __iter__(self):
         return iter(self.attributions)
@@ -177,15 +156,6 @@ def _cycle_or_order(succ: dict[str, list[str]]) -> tuple[Optional[list[str]], li
                 finished.append(stack.pop())
     finished.reverse()
     return None, finished
-
-
-def find_cycle(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> Optional[list[str]]:
-    """Return one directed cycle as a node sequence [v0, ..., v0], or None."""
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for src, dst in edges:
-        succ.setdefault(src, []).append(dst)
-        succ.setdefault(dst, [])
-    return _cycle_or_order(succ)[0]
 
 
 @dataclass(frozen=True)

@@ -116,11 +116,6 @@ class CsvFrequencyOracle:
             raise OracleError(f"CSV line {reader.line_num}: {e}")
         return cls(header, tokens, ids, n_rows)
 
-    @classmethod
-    def from_path(cls, path: str) -> "CsvFrequencyOracle":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_text(f.read())
-
     def query(self, q: OracleQuery) -> Fraction:
         for var in sorted(variables_of(q.attributions) | {q.target}):
             if var not in self.tokens:

@@ -15,10 +15,10 @@ from cfcheck import (
     OracleError,
     OracleQuery,
     UndefinedProbability,
-    value_matches,
     variables_of,
 )
 from cfcheck.engine import Case
+from spec import value_matches
 
 DATA = Path(__file__).parent / "data"
 

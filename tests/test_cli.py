@@ -279,6 +279,18 @@ def test_stdout_on_a_full_device_is_one_error_line_not_a_verdict(data_dir):
                        stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode not in (0, 1)
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.returncode == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("command", ["closure", "derive"])
+def test_full_stdout_exits_3_with_one_line(data_dir, command):
+    oracle = [] if command == "closure" else ["--oracle", f"db:{data_dir / 'loan.db'}"]
+    with open("/dev/full", "w") as full:
+        proc = _python("-c", "from cfcheck.cli import entry; entry()", command,
+                       str(data_dir / "loan.cfc"), *oracle, stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 3
+    assert proc.stderr == "cannot write output: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("module", ["cfcheck", "cfcheck.cli"])
@@ -748,6 +760,24 @@ def test_crash_in_derive_exits_5_with_one_line(capsys, monkeypatch, loan_cfc, da
     monkeypatch.setattr(cli, "derive_counterfactual", crash)
     assert run(capsys, "derive", loan_cfc, "--oracle", f"db:{data_dir / 'loan.db'}") == (
         5, "", "internal error: RuntimeError: injected\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, layer",
+    [("check", "check_case"), ("derive", "derive_counterfactual"), ("closure", "mediate_closure")],
+)
+def test_an_oserror_not_from_writing_output_exits_5(
+    capsys, monkeypatch, loan_cfc, data_dir, command, layer
+):
+    def crash(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, layer, crash)
+    oracle = [] if command == "closure" else ["--oracle", f"db:{data_dir / 'loan.db'}"]
+    head = f"{loan_cfc}: " if command == "check" else ""
+    assert run(capsys, command, loan_cfc, *oracle) == (
+        5, "", f"{head}internal error: OSError: [Errno 28] No space left on device\n"
     )
 
 

@@ -7,20 +7,22 @@ import pytest
 
 from cfcheck import (
     CausalGraph,
+    GraphCycle,
     InvalidModel,
     descendants,
     intervene_graph,
     mediate_closure,
 )
-from cfcheck.model import find_cycle as check_acyclic
 from cfcheck.cli import main
 from conftest import brute_force_closure, graph_text, random_dag, relabelled_dag
 
 
 def test_check_acyclic(loan_graph):
-    assert check_acyclic(loan_graph.nodes, loan_graph.edges) is None
-    assert check_acyclic({"A"}, set()) is None
-    cycle = check_acyclic({"A", "B"}, {("A", "B"), ("B", "A")})
+    CausalGraph(loan_graph.nodes, loan_graph.edges)  # acyclic: no GraphCycle
+    CausalGraph({"A"}, set())
+    with pytest.raises(GraphCycle) as exc:
+        CausalGraph({"A", "B"}, {("A", "B"), ("B", "A")})
+    cycle = exc.value.cycle
     assert cycle is not None and cycle[0] == cycle[-1] and set(cycle) == {"A", "B"}
 
 
@@ -71,7 +73,7 @@ def test_closure_matches_brute_force_randomized():
         g = random_dag(rng)
         rel = mediate_closure(g)
         expected = brute_force_closure(g)
-        assert rel.pairs() == set(expected)
+        assert {(a, b) for a, b, _ in rel} == set(expected)
         for (a, b), m in expected.items():
             assert rel.witnesses(a, b) == m
         assert list(rel) == sorted((a, b, m) for (a, b), m in expected.items())
@@ -150,4 +152,4 @@ def test_descendant_properties_randomized():
             gi = intervene_graph(g, a)
             assert descendants(gi, a) <= d
             rel = mediate_closure(gi)
-            assert not any(dst == a and src != a for src, dst in rel.pairs())
+            assert not any(dst == a and src != a for src, dst, _ in rel)

@@ -26,7 +26,6 @@ from cfcheck.dsl import (
     parse_judgment,
     parse_judgment_db,
     parse_probability_literal,
-    parse_valueterm,
     render_context_item,
     render_judgment,
     render_probability,
@@ -71,8 +70,9 @@ def test_parse_case_sum_and_complement():
         target Loan = yes;
         """
     )
-    assert case.factual.value_of("MS") == Sum((Atom("married"), Atom("divorced")))
-    assert case.factual.value_of("Etn") == Complement(Atom("white"))
+    values = {a.var: a.value for a in case.factual}
+    assert values["MS"] == Sum((Atom("married"), Atom("divorced")))
+    assert values["Etn"] == Complement(Atom("white"))
 
 
 def test_parse_case_candidate_block():
@@ -264,10 +264,15 @@ def test_render_probability():
     assert render_probability(Fraction(1, 8)) == "0.125"
 
 
+def _valueterm(text):
+    """A value term parsed as the value of an attribution."""
+    return parse_context_item("X = " + text).attribution.value
+
+
 def test_valueterm_round_trip():
     for text in ["a", "a + b", "!white", "!(a + b)", "(a + b) + c", "!!a", "a + !b + c"]:
-        term = parse_valueterm(text)
-        assert parse_valueterm(render_valueterm(term)) == term
+        term = _valueterm(text)
+        assert _valueterm(render_valueterm(term)) == term
 
 
 def test_judgment_round_trip_example():
@@ -288,7 +293,7 @@ def test_empty_context_judgment_round_trip():
 
 def test_duplicate_sum_member_rejected():
     with pytest.raises(ParseError):
-        parse_valueterm("a + a")
+        _valueterm("a + a")
 
 
 def test_parse_case_or_graph():

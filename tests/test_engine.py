@@ -18,6 +18,7 @@ from cfcheck import (
     InvalidModel,
     Judgment,
     OracleError,
+    Proof,
     build_candidate,
     cf_verdict,
     check_case,
@@ -26,8 +27,8 @@ from cfcheck import (
     verify_candidate,
     variables_of,
 )
-from cfcheck.engine import Case, candidate_judgment
-from conftest import random_dag
+from cfcheck.engine import Case, candidate_judgment, reduced_point
+from conftest import random_dag, relabelled_dag
 
 
 class ConstOracle:
@@ -279,6 +280,42 @@ def test_verify_succeeds_on_constructed_candidates_randomized():
         assert check_proof(proof).ok
         assert len(judgment.context) == 1
         trials += 1
+
+
+def test_verify_candidate_accepts_exactly_the_subsets_of_the_reduced_point():
+    # sigma mixes the reduced point's attributions with arbitrary values of any
+    # non-target variable, the intervened one included; only a subset is accepted
+    rng = random.Random(2026)
+    trials = accepted = 0
+    while trials < 300:
+        g = random_dag(rng) if trials % 2 else relabelled_dag(rng)
+        nodes = sorted(g.nodes)
+        if len(nodes) < 2:
+            continue
+        target = rng.choice(nodes)
+        others = [n for n in nodes if n != target]
+        factual = DataPoint(
+            tuple(Attribution(v, Atom(rng.choice("xyz"))) for v in others if rng.random() < 0.7)
+        )
+        case = Case(g, factual, Intervention(rng.choice(others), Atom("w")), target, Atom("yes"))
+        reduced = {a.var: a for a in reduced_point(case)}
+        drawn = []
+        for v in rng.sample(others, rng.randint(0, len(others))):
+            if v in reduced and rng.random() < 0.75:
+                drawn.append(reduced[v])
+            else:
+                drawn.append(Attribution(v, Atom(rng.choice("wxyz"))))
+        sigma = DataPoint(tuple(drawn))
+        result = verify_candidate(case, candidate_judgment(case, sigma, Fraction(1, 2)))
+        others_drawn = [a for a in sigma if a not in reduced.values()]
+        if others_drawn:
+            assert isinstance(result, CandidateFailure)
+            assert [item for item, _, _ in result.items] == [AttrItem(a) for a in others_drawn]
+        else:
+            assert isinstance(result, Proof) and check_proof(result).ok
+            accepted += 1
+        trials += 1
+    assert 0 < accepted < trials
 
 
 def test_cf_verdict_and_check_case_reject_a_float_or_out_of_range_epsilon(loan_case):

@@ -25,9 +25,8 @@ from cfcheck import (
     apply_v_cut,
     check_proof,
     derive_counterfactual,
-    generic_cut,
-    intervention_axiom,
 )
+from spec import generic_cut, intervention_axiom
 
 
 class ConstOracle:

@@ -2,6 +2,7 @@
 only at module level, so there is no import cycle to break at call time."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import cfcheck
@@ -43,3 +44,36 @@ def test_no_function_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert inside == []
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read, as a Name or an Attribute, in `tree`."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+# Used by the benchmark alone, which reaches them by name.
+BENCHMARK_ONLY = {
+    "engine.build_candidate",  # benchmark/test_benchmark.py calls it, benchmark/tracing.py wraps it
+    "closure.entries",  # benchmark/test_benchmark.py reads MediateRelation.entries
+}
+
+
+def test_every_definition_is_used_in_the_package():
+    # a name is used where it is read outside its own definition, so a
+    # re-export in __init__ or a recursive call alone is no use
+    trees = {path.stem: _parse(path) for path in SOURCES}
+    reads = sum(map(_reads, trees.values()), Counter())
+    unused = [
+        f"{stem}.{d.name}"
+        for stem, tree in trees.items()
+        if stem != "__init__"
+        for d in ast.walk(tree)
+        if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (d.name.startswith("__") and d.name.endswith("__"))
+        and reads[d.name] == _reads(d)[d.name]
+    ]
+    assert sorted(unused) == sorted(BENCHMARK_ONLY)

@@ -20,11 +20,11 @@ from cfcheck import (
     InvalidModel,
     Judgment,
     Sum,
-    value_matches,
     variables_of,
 )
 from cfcheck.model import check_probability, check_token
 from conftest import random_dag
+from spec import value_matches
 
 
 def test_token_validation():

@@ -24,10 +24,10 @@ from cfcheck import (
     OracleQuery,
     Sum,
     UndefinedProbability,
-    value_matches,
 )
 from cfcheck.dsl import parse_judgment_db
 from conftest import brute_force_frequency
+from spec import value_matches
 
 
 def dp(*pairs):
@@ -87,7 +87,7 @@ def test_csv_rejects_empty_cells():
 
 
 def test_csv_fixture_hand_counts(data_dir):
-    oracle = CsvFrequencyOracle.from_path(str(data_dir / "loans.csv"))
+    oracle = CsvFrequencyOracle.from_text((data_dir / "loans.csv").read_text(encoding="utf-8"))
     assert oracle.query(query([("Gender", Atom("m"))])) == Fraction(1, 2)
     assert oracle.query(
         query([("MS", Sum((Atom("married"), Atom("divorced"))))])
