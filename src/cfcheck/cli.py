@@ -14,6 +14,7 @@ import os
 import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from fractions import Fraction
 
 from . import dsl
@@ -75,6 +76,12 @@ def _write(lines) -> None:
         sys.stdout.flush()
     except OSError as e:
         raise OutputError(e) from e
+
+
+def _warn(message: str) -> None:
+    """Print one line to stderr; when stderr cannot take it, the exit code still tells."""
+    with suppress(OSError):
+        print(message, file=sys.stderr)
 
 
 def load_oracle(spec: str) -> ClassifierOracle:
@@ -165,7 +172,7 @@ def cmd_check(args) -> int:
             if out:
                 _write([out + "\n"])
             if err:
-                print(err, file=sys.stderr)
+                _warn(err)
             worst = max(worst, code)
     return worst
 
@@ -203,14 +210,19 @@ def cmd_verify_proof(args) -> int:
     where = "" if result.step is None else f" at step {result.step}"
     # a proof that replays keeps its conclusion; a case check failure prints no code
     code = "" if result.conclusion is not None else f"{result.code}: "
-    print(f"FAIL{where}: {code}{result.reason}", file=sys.stderr)
+    _warn(f"FAIL{where}: {code}{result.reason}")
     return 1
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # a usage error exits 3, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        self._print_message(f"{self.format_usage()}{self.prog}: error: {message}\n", sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
+
+    def _print_message(self, message, file=None):  # argparse would drop a failed write of --help
+        if file is sys.stdout:
+            return _write([message])
+        super()._print_message(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,21 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as e:
         code, message = _error(e)
-        print(message, file=sys.stderr)
+        _warn(message)
         return code
 
 
 def entry() -> None:
-    code = main()
     try:
-        print(end="", flush=True)
-    except OSError:  # main has reported it; the flush at exit must not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = main()
+    finally:  # a failed write is reported, or cannot be; the flush at exit must not fail again
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed at start
+            try:
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     raise SystemExit(code)
 
 

@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .kernel import Proof, ProofStep, RuleId
 from .model import (
@@ -71,10 +71,9 @@ _LEXEME_RE = re.compile(
 )
 
 
-class Token(NamedTuple):  # a tuple: cheaper to build than a frozen dataclass
-    kind: str  # "word", "eof", "bad", or the punctuation text itself
-    text: str
-    start: int  # offset in the source
+# (kind, text, start): a plain tuple read by index, built without a Python-level
+# constructor. Kind is "word", "eof", "bad" or the punctuation; start, the offset.
+Token = tuple[str, str, int]
 
 
 def tokenize(text: str) -> list[Token]:
@@ -85,10 +84,10 @@ def tokenize(text: str) -> list[Token]:
         if kind is None:  # a comment, or blanks at the end
             continue
         lexeme = m.group(kind)
-        toks.append(Token(lexeme if kind == "punct" else kind, lexeme, m.start(kind)))
+        toks.append((lexeme if kind == "punct" else kind, lexeme, m.start(kind)))
         if kind == "bad":
             return toks
-    toks.append(Token("eof", "", len(text)))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -125,7 +124,7 @@ class _Parser:
         self.i = 0
         # where each attributed or intervened variable, and each edge, was last read
         self.seen: dict[Union[str, tuple[str, str]], Token] = {}
-        if self.toks[-1].kind == "bad":  # before any other error in the text
+        if self.toks[-1][0] == "bad":  # before any other error in the text
             self.error("a token", self.toks[-1])
 
     def peek(self) -> Token:
@@ -133,35 +132,30 @@ class _Parser:
 
     def advance(self) -> Token:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.i += 1
         return t
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.i][0] == kind
 
     def error(self, expected: str, tok: Optional[Token] = None, found: Optional[str] = None):
         """Raise a ParseError at `tok`, the next token by default."""
-        tok = tok or self.peek()
+        kind, text, start = tok or self.toks[self.i]
         if found is None:
-            found = repr(tok.text) if tok.kind != "eof" else "end of input"
-        line = self.text.count("\n", 0, tok.start) + 1
-        column = tok.start - self.text.rfind("\n", 0, tok.start)
-        raise ParseError(SourceSpan(line, column, max(len(tok.text), 1)), expected, found)
+            found = repr(text) if kind != "eof" else "end of input"
+        line = self.text.count("\n", 0, start) + 1
+        column = start - self.text.rfind("\n", 0, start)
+        raise ParseError(SourceSpan(line, column, max(len(text), 1)), expected, found)
 
     def expect(self, kind: str, expected: Optional[str] = None) -> Token:
-        if not self.at(kind):
+        if self.toks[self.i][0] != kind:
             self.error(expected or f"'{kind}'")
         return self.advance()
 
-    def word(self, expected: str = "an identifier") -> Token:
-        if not self.at("word"):
-            self.error(expected)
-        return self.advance()
-
     def keyword(self, name: str) -> Token:
-        tok = self.word(f"'{name}'")
-        if tok.text != name:
+        tok = self.expect("word", f"'{name}'")
+        if tok[1] != name:
             self.error(f"'{name}'", tok)
         return tok
 
@@ -184,33 +178,32 @@ class _Parser:
         if self.at("!") or self.at("("):
             if depth == MAX_TERM_NESTING:
                 self.error(f"at most {MAX_TERM_NESTING} nested '!' and '('")
-            if self.advance().kind == "!":
+            if self.advance()[0] == "!":
                 return Complement(self.term(depth + 1))
             t = self.valueterm(depth + 1)
             self.expect(")")
             return t
-        tok = self.word("a value term")
-        return Atom(tok.text)
+        return Atom(self.expect("word", "a value term")[1])
 
     # -- probabilities ----------------------------------------------------
 
     def probability(self) -> Fraction:
-        tok = self.word("a probability")
+        tok = self.expect("word", "a probability")
         if self.at("/"):
             self.advance()
-            den = self.word("a denominator")
+            den = self.expect("word", "a denominator")
             for part in (tok, den):
-                if not part.text.isdigit():
+                if not part[1].isdigit():
                     self.error("an integer rational", part)
             try:
-                num = self.numeral(tok, tok.text)
-                return check_probability(Fraction(num, self.numeral(den, den.text)))
+                num = self.numeral(tok, tok[1])
+                return check_probability(Fraction(num, self.numeral(den, den[1])))
             except (ZeroDivisionError, InvalidModel):
-                self.error("a probability in [0, 1]", tok, f"{tok.text}/{den.text}")
+                self.error("a probability in [0, 1]", tok, f"{tok[1]}/{den[1]}")
         return self.decimal(tok)
 
     def decimal(self, tok: Token) -> Fraction:
-        whole, dot, frac = tok.text.partition(".")
+        whole, dot, frac = tok[1].partition(".")
         if not whole.isdigit() or (dot and not frac.isdigit()):
             self.error("a decimal probability", tok)
         if len(frac) > MAX_FRACTION_DIGITS:
@@ -234,24 +227,24 @@ class _Parser:
         """An edge `NAME -> NAME` (as a pair), an attribution `NAME = term` or
         a bare node `NAME` (as its name), as the caller allows. A name that
         starts no edge must start an attribution unless a bare node is allowed."""
-        name = self.word(expected)
+        name = self.expect("word", expected)
         if edge and self.at("->"):
             self.advance()
-            pair = (name.text, self.word("an edge target").text)
+            pair = (name[1], self.expect("word", "an edge target")[1])
             self.seen[pair] = name
             return pair
         if attr and (not node or self.at("=")):
-            self.seen[name.text] = name
+            self.seen[name[1]] = name
             self.expect("=")
-            return Attribution(name.text, self.valueterm())
-        return name.text
+            return Attribution(name[1], self.valueterm())
+        return name[1]
 
     def intervention(self) -> Intervention:
         """`NAME = NAME`: an atomic value imposed on a variable."""
-        var = self.word("the intervention variable")
-        self.seen[var.text] = var
+        var = self.expect("word", "the intervention variable")
+        self.seen[var[1]] = var
         self.expect("=")
-        return Intervention(var.text, Atom(self.word("an atomic value").text))
+        return Intervention(var[1], Atom(self.expect("word", "an atomic value")[1]))
 
     def separated(self, entry, end: str) -> list:
         """Entries read by `entry` with `,` between them, then `end`."""
@@ -296,9 +289,10 @@ class _Parser:
         item = self.item("a context item", edge=True)
         return AttrItem(item) if isinstance(item, Attribution) else EdgeItem(*item)
 
-    def judgment(self) -> Judgment:
+    def judgment(self, context: Optional[list] = None) -> Judgment:
+        """A judgment, or what follows its `|-` when its `context` is given."""
         start = self.peek()
-        context = self.separated(self.context_item, "|-")
+        context = context or self.separated(self.context_item, "|-")
         conclusion = self.item("a target variable")
         self.expect("@")
         prob = self.probability()
@@ -319,7 +313,7 @@ class _Parser:
             return _graph(items)
         except GraphCycle as e:
             tokens = [self.seen[edge] for edge in zip(e.cycle, e.cycle[1:])]
-            self.error("an acyclic graph", max(tokens, key=lambda t: t.start), str(e))
+            self.error("an acyclic graph", max(tokens, key=lambda t: t[2]), str(e))
 
     def attr_block(self, name: str) -> DataPoint:
         self.keyword(name)
@@ -339,12 +333,12 @@ class _Parser:
             target = self.item("the target variable")
             self.expect(";")
 
-            candidate = self.attr_block("candidate") if self.peek().text == "candidate" else None
+            candidate = self.attr_block("candidate") if self.peek()[1] == "candidate" else None
 
             prob = None
-            if self.peek().text == "factual_prob":
+            if self.peek()[1] == "factual_prob":
                 self.advance()
-                prob = self.decimal(self.word("a decimal probability"))
+                prob = self.decimal(self.expect("word", "a decimal probability"))
                 self.expect(";")
 
             self.expect("eof", "end of case file")
@@ -483,18 +477,39 @@ class ProofFormatError(ValueError):
     """A serialized proof document is malformed."""
 
 
+def _read_item(text, items: dict) -> ContextItem:
+    """The item `text` states; `items` maps the canonical text of each item read so far to it."""
+    item = items.get(text) if isinstance(text, str) else None
+    if item is None:
+        item = parse_context_item(text)
+        items[render_context_item(item)] = item  # never the raw text: it may end in a comment
+    return item
+
+
+def _read_conclusion(text, items: dict) -> Judgment:
+    """A judgment; one whose context is an item already read is read from its `|-` on."""
+    key, sep, rest = text.partition(" |- ") if isinstance(text, str) else ("", "", "")
+    if sep and key in items:
+        try:
+            return _parse_all(rest, lambda p: p.judgment([items[key]]), "end of judgment")
+        except ParseError:  # the whole text, read again, reports it
+            pass
+    return parse_judgment(text)
+
+
 def proof_from_dict(doc: dict) -> Proof:
     try:
         assumptions = tuple(parse_judgment(s) for s in doc["assumptions"])
+        items = {render_context_item(i): i for a in assumptions for i in a.context}
         steps = []
         for raw in doc["steps"]:
             rule = RuleId(raw["rule"])
-            item = None if raw.get("item") is None else parse_context_item(raw["item"])
+            item = None if raw.get("item") is None else _read_item(raw["item"], items)
             premise = raw.get("premise")
             if premise is not None and type(premise) is not int:
                 raise ValueError(f"premise {premise!r} is not an integer index")
             conclusion = raw.get("conclusion")
-            conclusion = None if conclusion is None else parse_judgment(conclusion)
+            conclusion = None if conclusion is None else _read_conclusion(conclusion, items)
             steps.append(ProofStep(rule, item, premise, conclusion))
         return Proof(assumptions, tuple(steps))
     except (KeyError, TypeError, ValueError, ParseError) as e:

@@ -251,10 +251,13 @@ def test_closure_report_matches_brute_force_whatever_the_name_order(capsys, tmp_
         )
 
 
-def _python(*argv, **kwargs) -> subprocess.CompletedProcess:
-    """Run the interpreter on this source tree."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+def _python(*argv, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter on this source tree, with `env` added to the environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **dict(env)}
     return subprocess.run([sys.executable, *argv], env=env, text=True, **kwargs)
+
+
+BUFFERED = {"PYTHONUNBUFFERED": ""}  # the default buffering, whatever the caller set
 
 
 @pytest.mark.parametrize("command", ["closure", "check", "derive"])
@@ -291,6 +294,63 @@ def test_full_stdout_exits_3_with_one_line(data_dir, command):
                        str(data_dir / "loan.cfc"), *oracle, stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 3
     assert proc.stderr == "cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_help_into_a_full_device_exits_3_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _python("-m", "cfcheck", "--help", env=BUFFERED, stdout=full,
+                       stderr=subprocess.PIPE)
+    assert proc.returncode == 3
+    assert proc.stderr == "cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_an_unwritable_stderr_keeps_the_error_s_exit_code(data_dir, tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = _python("-m", "cfcheck", "check", str(tmp_path / "nope.cfc"), "--oracle",
+                       f"db:{data_dir / 'loan.db'}", env=BUFFERED, stdout=subprocess.PIPE,
+                       stderr=full)
+    assert (proc.returncode, proc.stdout) == (3, "")
+
+
+def test_a_stdout_closed_at_start_gives_one_line_and_no_traceback(data_dir):
+    proc = _python("-m", "cfcheck", "check", str(data_dir / "loan.cfc"), "--oracle",
+                   f"db:{data_dir / 'loan.db'}", env=BUFFERED, stderr=subprocess.PIPE,
+                   preexec_fn=lambda: os.close(1))
+    assert proc.returncode != 0 and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+class _FullStream(io.StringIO):
+    def write(self, s):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["check", "TMP/nope.cfc", "--oracle", "DB"], 3, ""),
+        # a batch still prints the verdict of the file it could check
+        (["check", "TMP/nope.cfc", "LOAN", "--oracle", "DB"], 3, "LOAN: FAIR p=0.6"),
+        (["verify-proof", "TMP/forged.json", "LOAN"], 1, ""),
+    ],
+    ids=["missing-case", "batch", "forged-proof"],
+)
+def test_main_returns_the_error_s_exit_code_when_stderr_cannot_be_written(
+    capsys, monkeypatch, data_dir, tmp_path, argv, code, out
+):
+    loan, db = str(data_dir / "loan.cfc"), f"db:{data_dir / 'loan.db'}"
+    main(["derive", loan, "--oracle", db, "--emit-proof", str(tmp_path / "forged.json")])
+    doc = json.loads((tmp_path / "forged.json").read_text())
+    doc["steps"][-1]["conclusion"] = doc["steps"][-1]["conclusion"].replace("@ 0.6", "@ 0.9")
+    (tmp_path / "forged.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = [{"LOAN": loan, "DB": db}.get(a, a).replace("TMP", str(tmp_path)) for a in argv]
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert main(argv) == code
+    printed = capsys.readouterr().out
+    assert printed.startswith(out.replace("LOAN", loan)) and bool(printed) == bool(out)
 
 
 @pytest.mark.parametrize("module", ["cfcheck", "cfcheck.cli"])
@@ -444,6 +504,50 @@ def test_verify_proof_reads_proofs_recording_every_conclusion(
     code, out, err = run(capsys, "verify-proof", str(proof_path), loan_cfc)
     assert code == 1 and "OK" not in out
     assert "FAIL at step 5: conclusion-mismatch" in err
+
+
+def test_non_canonical_step_items_read_as_the_canonical_ones(
+    capsys, loan_cfc, loan_proof_doc, tmp_path
+):
+    from cfcheck.dsl import parse_proof
+
+    canonical = parse_proof(json.dumps(loan_proof_doc))
+    for step in loan_proof_doc["steps"]:  # extra blanks, a newline and a trailing comment
+        restated = step["item"].replace(", ", " ,\n  ").replace(" = ", "  =  ")
+        step["item"] = f"  {restated}   # restated"
+    assert parse_proof(json.dumps(loan_proof_doc)) == canonical
+    proof_path = tmp_path / "restated.proof.json"
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == (
+        0, "OK: 14 steps replayed\n", ""
+    )
+
+
+@pytest.mark.parametrize(
+    "item_tail, conclusion_tail, code, out, err",
+    [  # what a parse of the whole conclusion text reports
+        (" # c", " # c |- Loan = yes @ 0.6", 3, "",
+         "parse error: malformed proof document: 1:279: expected '|-', found end of input\n"),
+        (" # c", " # c\n |- Loan = yes @ 0.6", 0, "OK: 14 steps replayed\n", ""),
+        ("", " |- Loan = yes @ 1.5", 3, "", "parse error: malformed proof document: "
+         "1:272: expected a probability in [0, 1], found '1.5'\n"),
+        ("", " |- Loan = yes @ 0.6 extra", 3, "",
+         "parse error: malformed proof document: 1:276: expected end of judgment, found 'extra'\n"),
+        ("", " |- Loan = yes @ 0.9", 1, "",
+         "FAIL at step 13: conclusion-mismatch: recorded conclusion differs from replayed one\n"),
+    ],
+    ids=["comment", "comment-then-newline", "bad-probability", "trailing-word", "forged"],
+)
+def test_a_conclusion_after_the_weakening_item_reads_as_its_whole_text(
+    capsys, loan_cfc, loan_proof_doc, tmp_path, item_tail, conclusion_tail, code, out, err
+):
+    steps = loan_proof_doc["steps"]
+    weakening = steps[0]["item"]
+    steps[0]["item"] = weakening + item_tail
+    steps[-1]["conclusion"] = weakening + conclusion_tail
+    proof_path = tmp_path / "edited.proof.json"
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == (code, out, err)
 
 
 def _nested(kind, depth):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -32,8 +33,10 @@ from cfcheck.dsl import (
     render_proof,
     render_valueterm,
 )
+from cfcheck import dsl
 from cfcheck.engine import Case, derive_counterfactual
 from cfcheck.kernel import check_proof
+from conftest import graph_text
 
 CASE_TEXT = """
 # comment lines are ignored
@@ -378,6 +381,10 @@ def _sparse_dag_proof(n: int):
     """Derive a proof on the ROADMAP's synthetic DAG: edges vi -> vj for j in
     i+1..i+5 at probability 0.6, the middle node intervened, the last node
     the target and every other node in the factual data point."""
+    return derive_counterfactual(_sparse_dag_case(n), _HalfOracle())[1]
+
+
+def _sparse_dag_case(n: int) -> Case:
     rng = random.Random(n)
     nodes = [f"v{i}" for i in range(n)]
     edges = {
@@ -386,14 +393,13 @@ def _sparse_dag_proof(n: int):
         for j in range(i + 1, min(i + 6, n))
         if rng.random() < 0.6
     }
-    case = Case(
+    return Case(
         CausalGraph(frozenset(nodes), frozenset(edges)),
         DataPoint(tuple(Attribution(v, Atom("x")) for v in nodes[:-1])),
         Intervention(nodes[n // 2], Atom("y")),
         nodes[-1],
         Atom("yes"),
     )
-    return derive_counterfactual(case, _HalfOracle())[1]
 
 
 def test_proof_bytes_per_step_stay_flat_as_the_graph_grows():
@@ -406,3 +412,30 @@ def test_proof_bytes_per_step_stay_flat_as_the_graph_grows():
         assert check_proof(parsed).ok
         assert parsed.conclusion() == proof.conclusion()
     assert per_step[120] <= 1.5 * per_step[30]
+
+
+def test_proof_and_case_parsing_cost_a_fixed_number_of_tokenizer_passes(monkeypatch):
+    # a derived proof is read in three passes whatever its size: the
+    # assumption, the weakening item, and the conclusion after the `|-` that
+    # follows that item; every other step names an item already read
+    passes = []
+    tokenize = dsl.tokenize
+    monkeypatch.setattr(dsl, "tokenize", lambda text: passes.append(text) or tokenize(text))
+    counts = {}
+    for n in (100, 400):
+        case = _sparse_dag_case(n)
+        text = render_proof(derive_counterfactual(case, _HalfOracle())[1])
+        factual = " ".join(f"{a.var} = x;" for a in case.factual)
+        case_text = graph_text(case.graph) + (
+            f"factual {{ {factual} }}\nintervene v{n // 2} = y;\ntarget v{n - 1} = yes;\n"
+        )
+        passes.clear()
+        assert parse_case(case_text) == case and len(passes) == 1
+        passes.clear()
+        assert render_proof(parse_proof(text)) == text
+        counts[n] = len(passes)
+        # nor is the conclusion's intervention expression read a second time
+        doc = json.loads(text)
+        once = len(doc["assumptions"][0]) + len(doc["steps"][0]["item"])
+        assert once < sum(map(len, passes)) < once + 40
+    assert counts[100] == counts[400] <= 3
