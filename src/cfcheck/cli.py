@@ -19,13 +19,8 @@ from fractions import Fraction
 
 from . import dsl
 from .closure import mediate_closure, descendants
-from .engine import (
-    CandidateRejected,
-    ConsistencyError,
-    check_case,
-    derive_counterfactual,
-    verify_proof,
-)
+from .engine import CandidateRejected, ConsistencyError, check_case, derive_counterfactual
+from .engine import known_contexts, verify_proof
 from .model import CausalGraph, InvalidModel
 from .oracle import (
     ClassifierOracle,
@@ -72,6 +67,8 @@ def _error(e: Exception, head: str = "") -> tuple[int, str]:
 def _write(lines) -> None:
     """Write and flush stdout now, not at exit; an OSError doing so is an OutputError."""
     try:
+        if sys.stdout is None:  # closed at start
+            raise OSError("standard output is closed")
         sys.stdout.writelines(lines)
         sys.stdout.flush()
     except OSError as e:
@@ -95,7 +92,10 @@ def load_oracle(spec: str) -> ClassifierOracle:
         if kind == "db":
             return JudgmentDbOracle(dsl.parse_judgment_db(_read(rest)))
         if kind == "cmd":
-            return ExternalCommandOracle(shlex.split(rest))
+            try:
+                return ExternalCommandOracle(shlex.split(rest))
+            except ValueError as e:  # shlex's: an unclosed quote or a trailing backslash
+                raise ConfigError(f"cannot load oracle {spec!r}: {e}")
     except (dsl.ParseError, OracleError) as e:  # a ConfigError from _read names the file itself
         raise ConfigError(_error(e, f"cannot load oracle {spec!r}: ")[1])
     raise ConfigError(f"unknown oracle kind: {kind!r}")
@@ -181,13 +181,13 @@ def cmd_derive(args) -> int:
     oracle = load_oracle(args.oracle)
     case = dsl.parse_case(_read(args.casefile))
     judgment, proof = derive_counterfactual(case, oracle)
-    _write([dsl.render_judgment(judgment) + "\n"])
-    if args.emit_proof:
+    if args.emit_proof:  # before the judgment, so that a run that fails prints no result
         try:
             with open(args.emit_proof, "w", encoding="utf-8") as f:
                 f.write(dsl.render_proof(proof))
         except OSError as e:
             raise ConfigError(f"cannot write proof: {e}")
+    _write([dsl.render_judgment(judgment) + "\n"])
     return 0
 
 
@@ -202,8 +202,14 @@ def cmd_closure(args) -> int:
 
 
 def cmd_verify_proof(args) -> int:
-    proof = dsl.parse_proof(_read(args.prooffile))
-    result = verify_proof(dsl.parse_case(_read(args.casefile)), proof)
+    text = _read(args.prooffile)
+    try:
+        case = dsl.parse_case(_read(args.casefile))
+    except Exception:
+        dsl.parse_proof(text)  # a malformed proof is reported before the case
+        raise
+    proof = dsl.parse_proof(text, known_contexts(case))
+    result = verify_proof(case, proof)
     if result.ok:
         _write([f"OK: {len(proof.steps)} steps replayed\n"])
         return 0

@@ -457,11 +457,7 @@ def proof_to_dict(p: Proof) -> dict:
     """Only the last step records its conclusion, the judgment the proof
     certifies; replay derives every other step's."""
     steps = [
-        {
-            "rule": s.rule.value,
-            "item": None if s.item is None else render_context_item(s.item),
-            "premise": s.premise,
-        }
+        {"rule": s.rule.value, "item": s.item and render_context_item(s.item), "premise": s.premise}
         for s in p.steps
     ]
     if steps:
@@ -470,55 +466,72 @@ def proof_to_dict(p: Proof) -> dict:
 
 
 def render_proof(p: Proof) -> str:
-    return json.dumps(proof_to_dict(p), indent=2) + "\n"
+    """`json.dumps(proof_to_dict(p), indent=2)`, laid out by hand: that indenter is pure Python."""
+    doc, enc = proof_to_dict(p), json.encoder.encode_basestring_ascii
+    encoded = [
+        f'{{\n      "rule": {enc(s["rule"])},\n      "item": '
+        f'{"null" if s["item"] is None else enc(s["item"])},\n      "premise": '
+        f'{"null" if s["premise"] is None else s["premise"]}'
+        + (f',\n      "conclusion": {enc(s["conclusion"])}' if "conclusion" in s else "")
+        + "\n    }"
+        for s in doc["steps"]
+    ]
+    assumptions = ",\n    ".join(map(enc, doc["assumptions"]))  # a proof has at least one
+    steps = "[\n    " + ",\n    ".join(encoded) + "\n  ]" if encoded else "[]"
+    return f'{{\n  "assumptions": [\n    {assumptions}\n  ],\n  "steps": {steps}\n}}\n'
 
 
 class ProofFormatError(ValueError):
     """A serialized proof document is malformed."""
 
 
-def _read_item(text, items: dict) -> ContextItem:
-    """The item `text` states; `items` maps the canonical text of each item read so far to it."""
-    item = items.get(text) if isinstance(text, str) else None
-    if item is None:
-        item = parse_context_item(text)
-        items[render_context_item(item)] = item  # never the raw text: it may end in a comment
-    return item
+def _read_item(text, known: dict) -> ContextItem:
+    """The item `text` states; `known` maps canonical texts to the contexts read so far."""
+    found = known.get(text, ()) if isinstance(text, str) else ()
+    if len(found) != 1:
+        found = (parse_context_item(text),)
+        known[render_context_item(found[0])] = found  # never the raw text: it may end in a comment
+    return found[0]
 
 
-def _read_conclusion(text, items: dict) -> Judgment:
-    """A judgment; one whose context is an item already read is read from its `|-` on."""
+def _read_judgment(text, known: dict) -> Judgment:
+    """A judgment; one whose context text is in `known` is read from its `|-` on."""
     key, sep, rest = text.partition(" |- ") if isinstance(text, str) else ("", "", "")
-    if sep and key in items:
+    if sep and known.get(key):  # an empty context would let `rest` bring one of its own
         try:
-            return _parse_all(rest, lambda p: p.judgment([items[key]]), "end of judgment")
+            return _parse_all(rest, lambda p: p.judgment(list(known[key])), "end of judgment")
         except ParseError:  # the whole text, read again, reports it
             pass
     return parse_judgment(text)
 
 
-def proof_from_dict(doc: dict) -> Proof:
+def proof_from_dict(doc: dict, known=()) -> Proof:
+    """`known`: contexts, as tuples, whose texts and items' texts are taken as read."""
+    rendered = [[render_context_item(i) for i in context] for context in known]
+    by_text = {t: (i,) for context, r in zip(known, rendered) for t, i in zip(r, context)}
+    by_text.update((", ".join(r), context) for context, r in zip(known, rendered))
     try:
-        assumptions = tuple(parse_judgment(s) for s in doc["assumptions"])
-        items = {render_context_item(i): i for a in assumptions for i in a.context}
+        assumptions = tuple(_read_judgment(s, by_text) for s in doc["assumptions"])
+        others = (i for a in assumptions if a.context not in known for i in a.context)
+        by_text.update((render_context_item(i), (i,)) for i in others)
         steps = []
         for raw in doc["steps"]:
             rule = RuleId(raw["rule"])
-            item = None if raw.get("item") is None else _read_item(raw["item"], items)
+            item = None if raw.get("item") is None else _read_item(raw["item"], by_text)
             premise = raw.get("premise")
             if premise is not None and type(premise) is not int:
                 raise ValueError(f"premise {premise!r} is not an integer index")
             conclusion = raw.get("conclusion")
-            conclusion = None if conclusion is None else _read_conclusion(conclusion, items)
+            conclusion = None if conclusion is None else _read_judgment(conclusion, by_text)
             steps.append(ProofStep(rule, item, premise, conclusion))
         return Proof(assumptions, tuple(steps))
     except (KeyError, TypeError, ValueError, ParseError) as e:
         raise ProofFormatError(f"malformed proof document: {e}")
 
 
-def parse_proof(text: str) -> Proof:
+def parse_proof(text: str, known=()) -> Proof:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:  # bad JSON, too deep, or a number too long
         raise ProofFormatError(f"malformed proof document: {e}")
-    return proof_from_dict(doc)
+    return proof_from_dict(doc, known)

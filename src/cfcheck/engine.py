@@ -95,6 +95,12 @@ def candidate_judgment(case: Case, sigma: DataPoint, prob: Fraction) -> Judgment
     return Judgment(tuple(context), case.target, case.target_value, prob)
 
 
+def known_contexts(case: Case) -> tuple[tuple[ContextItem, ...], ...]:
+    """What a proof of `case` restates: its candidate's context and its intervention item."""
+    item = InterventionItem(case.intervention_expr())  # replay reuses the blocked set cached on it
+    return candidate_judgment(case, candidate_point(case), Fraction(0)).context, (item,)
+
+
 def verify_candidate(case: Case, candidate: Judgment) -> Union[Proof, CandidateFailure]:
     """Check that a candidate really is the counterfactual of the case.
 

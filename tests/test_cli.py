@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,21 @@ def test_derive_unwritable_proof_path(capsys, loan_cfc, data_dir, tmp_path):
     assert code == 3 and "cannot write proof" in err
 
 
+def test_a_derive_that_cannot_write_its_proof_prints_no_judgment(capsys, loan_cfc, data_dir, tmp_path):
+    code, out, err = run(capsys, "derive", loan_cfc, "--oracle", f"db:{data_dir / 'loan.db'}",
+                         "--emit-proof", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == f"cannot write proof: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+@pytest.mark.parametrize("command", ["'x", "x\\"])
+def test_an_oracle_command_that_shlex_cannot_split_exits_3(capsys, loan_cfc, command):
+    message = {"'x": "No closing quotation", "x\\": "No escaped character"}[command]
+    assert run(capsys, "check", loan_cfc, "--oracle", f"cmd:{command}") == (
+        3, "", f"cannot load oracle {'cmd:' + command!r}: {message}\n"
+    )
+
+
 def test_closure_of_variable(capsys, loan_cfc):
     code, out, _ = run(capsys, "closure", loan_cfc, "--of", "MS")
     assert code == 0
@@ -320,6 +336,19 @@ def test_a_stdout_closed_at_start_gives_one_line_and_no_traceback(data_dir):
                    preexec_fn=lambda: os.close(1))
     assert proc.returncode != 0 and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "verify-proof"])
+def test_a_stdout_closed_at_start_exits_3(data_dir, loan_proof_doc, tmp_path, command):
+    proof_path = tmp_path / "loan.proof.json"
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    argv = {
+        "check": ["check", str(data_dir / "loan.cfc"), "--oracle", f"db:{data_dir / 'loan.db'}"],
+        "verify-proof": ["verify-proof", str(proof_path), str(data_dir / "loan.cfc")],
+    }[command]
+    proc = _python("-m", "cfcheck", *argv, env=BUFFERED, stderr=subprocess.PIPE,
+                   preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (3, "cannot write output: standard output is closed\n")
 
 
 class _FullStream(io.StringIO):
@@ -548,6 +577,121 @@ def test_a_conclusion_after_the_weakening_item_reads_as_its_whole_text(
     proof_path = tmp_path / "edited.proof.json"
     proof_path.write_text(json.dumps(loan_proof_doc))
     assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == (code, out, err)
+
+
+def _restated(text: str) -> str:
+    """`text` with extra blanks, newlines and a trailing comment."""
+    return "  " + text.replace(", ", " ,\n  ").replace(" = ", "  =  ") + "   # restated\n"
+
+
+@pytest.mark.parametrize("assumption, weakening", [(True, False), (False, True), (True, True)],
+                         ids=["assumption", "weakening-item", "both"])
+def test_a_proof_restating_the_case_s_texts_non_canonically_still_verifies(
+    capsys, loan_cfc, loan_proof_doc, tmp_path, assumption, weakening
+):
+    from cfcheck.dsl import parse_case, parse_proof
+    from cfcheck.engine import known_contexts
+
+    canonical = parse_proof(json.dumps(loan_proof_doc))
+    if assumption:
+        context, _, conclusion = loan_proof_doc["assumptions"][0].partition(" |- ")
+        loan_proof_doc["assumptions"][0] = f"{_restated(context)} |- {conclusion}"
+    if weakening:
+        loan_proof_doc["steps"][0]["item"] = _restated(loan_proof_doc["steps"][0]["item"])
+    text = json.dumps(loan_proof_doc)
+    known = known_contexts(parse_case(Path(loan_cfc).read_text()))
+    assert parse_proof(text, known) == parse_proof(text) == canonical
+    proof_path = tmp_path / "restated.proof.json"
+    proof_path.write_text(text)
+    assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == (
+        0, "OK: 14 steps replayed\n", ""
+    )
+
+
+def test_verify_proof_reads_the_proof_against_the_case(capsys, monkeypatch, loan_cfc, loan_proof_doc, tmp_path):
+    # one tokenizer pass for the case, then one for what follows each `|-` of
+    # the proof: its context and its weakening item are the case's own texts
+    from cfcheck import dsl
+
+    passes = []
+    tokenize = dsl.tokenize
+    monkeypatch.setattr(dsl, "tokenize", lambda text: passes.append(text) or tokenize(text))
+    proof_path = tmp_path / "loan.proof.json"
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == (0, "OK: 14 steps replayed\n", "")
+    assert passes[0] == Path(loan_cfc).read_text() and len(passes) == 3
+
+
+class _HalfOracle:
+    def query(self, q):
+        return Fraction(1, 2)
+
+
+LOAN_VARIANTS = {  # the loan case, and cases that differ from it in one place
+    "loan": ("", ""),
+    "ms-sin": ("intervene MS = div;", "intervene MS = sin;"),
+    "candidate": ("factual_prob 0.60;", "candidate { MS = div; SAT = 1100; }\nfactual_prob 0.60;"),
+    "sat-1200": ("SAT = 1100;", "SAT = 1200;"),
+}
+NOT_CONCLUDED = (1, "", "FAIL: proof does not conclude with this case's counterfactual\n")
+NOT_STARTED = (1, "", "FAIL: proof does not start from this case's candidate\n")
+MISMATCH = "FAIL at step {}: conclusion-mismatch: recorded conclusion differs from replayed one\n"
+
+
+@pytest.mark.parametrize(
+    "derived_for, checked_against, forged, expected",
+    [  # what verify-proof reported before it read a proof against its case
+        ("ms-sin", "loan", False, NOT_CONCLUDED),
+        ("loan", "ms-sin", False, NOT_CONCLUDED),
+        ("candidate", "loan", False, NOT_STARTED),
+        ("loan", "candidate", False, NOT_STARTED),
+        ("sat-1200", "loan", False, NOT_CONCLUDED),
+        ("loan", "sat-1200", False, NOT_CONCLUDED),
+        ("ms-sin", "loan", True, (1, "", MISMATCH.format(13))),
+        ("candidate", "loan", True, (1, "", MISMATCH.format(11))),
+        ("loan", "loan", True, (1, "", MISMATCH.format(13))),
+    ],
+)
+def test_a_proof_of_another_case_fails_as_it_did_when_read_alone(
+    capsys, tmp_path, derived_for, checked_against, forged, expected
+):
+    from cfcheck.dsl import parse_case, render_proof
+    from cfcheck.engine import derive_counterfactual
+
+    texts = {k: (DATA / "loan.cfc").read_text().replace(*edit) for k, edit in LOAN_VARIANTS.items()}
+    proof = render_proof(derive_counterfactual(parse_case(texts[derived_for]), _HalfOracle())[1])
+    if forged:  # the certified probability only, not the assumption's
+        head, _, tail = proof.rpartition("@ 0.5")
+        proof = f"{head}@ 0.25{tail}"
+    (tmp_path / "p.json").write_text(proof)
+    (tmp_path / "c.cfc").write_text(texts[checked_against])
+    assert run(capsys, "verify-proof", str(tmp_path / "p.json"), str(tmp_path / "c.cfc")) == expected
+
+
+@pytest.mark.parametrize(
+    "proof, case, expected",
+    [  # a malformed proof is reported before a malformed or missing case
+        ("bad", "bad", "parse error: malformed proof document: premise 'x' is not an integer index"),
+        ("bad", "missing", "parse error: malformed proof document: premise 'x' is not an integer index"),
+        ("json", "bad", "parse error: malformed proof document: Expecting value: line 1 column 1 (char 0)"),
+        ("good", "bad", "parse error: 23:1: expected 'target', found 'targt'"),
+        ("good", "missing", "[Errno 2] No such file or directory: '{dir}/nope.cfc'"),
+        ("missing", "bad", "[Errno 2] No such file or directory: '{dir}/nope.json'"),
+    ],
+)
+def test_verify_proof_reports_the_proof_s_error_before_the_case_s(
+    capsys, loan_cfc, loan_proof_doc, tmp_path, proof, case, expected
+):
+    (tmp_path / "good.json").write_text(json.dumps(loan_proof_doc))
+    loan_proof_doc["steps"][0]["premise"] = "x"
+    (tmp_path / "bad.json").write_text(json.dumps(loan_proof_doc))
+    (tmp_path / "json.json").write_text("not json")
+    (tmp_path / "bad.cfc").write_text(Path(loan_cfc).read_text().replace("target", "targt"))
+    proof_path = tmp_path / ("nope.json" if proof == "missing" else f"{proof}.json")
+    case_path = tmp_path / ("nope.cfc" if case == "missing" else f"{case}.cfc")
+    assert run(capsys, "verify-proof", str(proof_path), str(case_path)) == (
+        3, "", expected.format(dir=tmp_path) + "\n"
+    )
 
 
 def _nested(kind, depth):

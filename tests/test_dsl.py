@@ -34,9 +34,10 @@ from cfcheck.dsl import (
     render_valueterm,
 )
 from cfcheck import dsl
-from cfcheck.engine import Case, derive_counterfactual
-from cfcheck.kernel import check_proof
-from conftest import graph_text
+from cfcheck.engine import Case, derive_counterfactual, known_contexts
+from cfcheck.kernel import Proof, ProofStep, RuleId, check_proof
+from cfcheck.oracle import JudgmentDbOracle
+from conftest import DATA, graph_text
 
 CASE_TEXT = """
 # comment lines are ignored
@@ -421,7 +422,7 @@ def test_proof_and_case_parsing_cost_a_fixed_number_of_tokenizer_passes(monkeypa
     passes = []
     tokenize = dsl.tokenize
     monkeypatch.setattr(dsl, "tokenize", lambda text: passes.append(text) or tokenize(text))
-    counts = {}
+    counts, seeded = {}, {}
     for n in (100, 400):
         case = _sparse_dag_case(n)
         text = render_proof(derive_counterfactual(case, _HalfOracle())[1])
@@ -438,4 +439,61 @@ def test_proof_and_case_parsing_cost_a_fixed_number_of_tokenizer_passes(monkeypa
         doc = json.loads(text)
         once = len(doc["assumptions"][0]) + len(doc["steps"][0]["item"])
         assert once < sum(map(len, passes)) < once + 40
+        # read against its case, the proof tokenizes neither text the case fixes:
+        # only what follows the `|-` of the assumption and of the conclusion
+        known = known_contexts(case)
+        passes.clear()
+        assert render_proof(parse_proof(text, known)) == text
+        seeded[n] = len(passes)
+        assert sum(map(len, passes)) < 80
     assert counts[100] == counts[400] <= 3
+    assert seeded[100] == seeded[400] == 2
+
+
+def _loan_proof() -> Proof:
+    oracle = JudgmentDbOracle(parse_judgment_db((DATA / "loan.db").read_text()))
+    return derive_counterfactual(parse_case((DATA / "loan.cfc").read_text()), oracle)[1]
+
+
+def _with_steps(*steps) -> Proof:
+    """The n=8 proof's assumption; then, if any are given, `steps` and that
+    proof's last step. A missing item or premise is written `null`."""
+    proof = _sparse_dag_proof(8)
+    return Proof(proof.assumptions, (*steps, proof.steps[-1]) if steps else ())
+
+
+PROOFS = {
+    "loan": _loan_proof,
+    "n=50": lambda: _sparse_dag_proof(50),
+    "n=400": lambda: _sparse_dag_proof(400),
+    "no-steps": lambda: _with_steps(),
+    "no-item": lambda: _with_steps(ProofStep(RuleId.EDGE_CUT, None, 0, None)),
+    "no-premise": lambda: _with_steps(ProofStep(RuleId.VALUE_CUT, None, None, None)),
+}
+
+
+@pytest.mark.parametrize("name", PROOFS)
+def test_render_proof_writes_what_the_json_indenter_writes(name):
+    proof = PROOFS[name]()
+    assert render_proof(proof) == json.dumps(dsl.proof_to_dict(proof), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [12, 50])
+def test_a_proof_read_against_its_case_equals_the_proof_read_alone(n):
+    case = _sparse_dag_case(n)
+    text = render_proof(derive_counterfactual(case, _HalfOracle())[1])
+    seeded = parse_proof(text, known_contexts(case))
+    assert seeded == parse_proof(text) and render_proof(seeded) == text
+    # the seeded items are the case's own objects, so replay finds their blocked set cached
+    assert seeded.steps[0].item.expr is case.intervention_expr()
+
+
+def test_an_empty_known_context_lets_no_text_bring_a_context_of_its_own():
+    doc = json.dumps({"assumptions": [" |- A = x |- T = yes @ 1"], "steps": []})
+    with pytest.raises(dsl.ProofFormatError) as alone:
+        parse_proof(doc)
+    with pytest.raises(dsl.ProofFormatError) as seeded:
+        parse_proof(doc, [()])
+    assert str(seeded.value) == str(alone.value) == (
+        "malformed proof document: 1:11: expected '@', found '|-'"
+    )
