@@ -6,7 +6,7 @@ edge-erasing graph intervention.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .model import CausalGraph
 
@@ -19,8 +19,8 @@ class MediateRelation:
     excluding a. Every node carries the reflexive entry (v, v, {v}).
 
     Only the reflexive Anc and Desc maps are stored; each witness set is
-    computed as W(a, b) = (Desc(a) & Anc(b)) - {a} when it is asked for.
-    Iteration yields entries sorted by cause, then by effect.
+    computed as W(a, b) = (Desc(a) & Anc(b)) - {a} when it is read. Entries
+    are read in one order, sorted by cause, then by effect.
     """
 
     def __init__(self, anc: dict[str, frozenset[str]], desc: dict[str, frozenset[str]]):
@@ -29,29 +29,16 @@ class MediateRelation:
 
     @property
     def entries(self) -> frozenset[tuple[str, str, frozenset[str]]]:
-        return frozenset(self)
-
-    def witnesses(self, a: str, b: str) -> Optional[frozenset[str]]:
-        if b not in self._desc.get(a, ()):
-            return None
-        return frozenset({a}) if a == b else (self._desc[a] & self._anc[b]) - {a}
-
-    def __iter__(self) -> Iterator[tuple[str, str, frozenset[str]]]:
-        for a in sorted(self._desc):
-            for b in sorted(self._desc[a]):
-                yield a, b, self.witnesses(a, b)
+        return frozenset((a, b, frozenset(w)) for a, b, w in self.sorted_entries())
 
     def sorted_entries(self) -> Iterator[tuple[str, str, list[str]]]:
-        """Iteration's entries, each witness set a list in name order."""
+        """Every entry, each witness set a list in name order."""
         anc = self._anc
         for a in sorted(self._desc):
             names = sorted(self._desc[a])  # once per cause, then filtered by each Anc(b)
             rest = [v for v in names if v != a]
             for b in names:
                 yield a, b, [a] if b == a else list(compress(rest, map(anc[b].__contains__, rest)))
-
-    def __len__(self):
-        return sum(map(len, self._desc.values()))
 
 
 def mediate_closure(g: CausalGraph) -> MediateRelation:

@@ -779,6 +779,19 @@ def test_verify_proof_rejects_edge_cut_outside_factual_graph(
     assert "FAIL at step 1: edge-not-in-factual-graph" in err
 
 
+def test_verify_proof_prints_the_failed_rule_s_code_and_reason(
+    capsys, loan_cfc, loan_proof_doc, tmp_path
+):
+    edge_cut = next(s for s in loan_proof_doc["steps"] if s["rule"] == "edge-cut")
+    edge_cut["item"] = "Gender -> MS"
+    proof_path = tmp_path / "forged.proof.json"
+    proof_path.write_text(json.dumps(loan_proof_doc))
+    assert run(capsys, "verify-proof", str(proof_path), loan_cfc) == (
+        1, "", "FAIL at step 2: edge-enters-intervention: "
+        "edge Gender -> MS enters the intervention variable\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -27,13 +27,14 @@ def test_check_acyclic(loan_graph):
 
 
 def test_mediate_closure_witnesses(loan_graph):
-    rel = mediate_closure(loan_graph)
+    entries = mediate_closure(loan_graph).entries
+    witnesses = {(a, b): m for a, b, m in entries}
     # two MS->Loan paths: direct, and via Experience and GAI
-    assert rel.witnesses("MS", "Loan") == {"Experience", "GAI", "Loan"}
+    assert witnesses["MS", "Loan"] == {"Experience", "GAI", "Loan"}
     # SAT reaches GAI via Degree alone and via Degree then Experience
-    assert rel.witnesses("SAT", "GAI") == {"Degree", "Experience", "GAI"}
-    assert rel.witnesses("MS", "MS") == {"MS"}
-    assert len(rel) == 25
+    assert witnesses["SAT", "GAI"] == {"Degree", "Experience", "GAI"}
+    assert witnesses["MS", "MS"] == {"MS"}
+    assert len(entries) == 25
 
 
 def test_mediate_closure_edgeless():
@@ -73,11 +74,15 @@ def test_closure_matches_brute_force_randomized():
         g = random_dag(rng)
         rel = mediate_closure(g)
         expected = brute_force_closure(g)
-        assert {(a, b) for a, b, _ in rel} == set(expected)
+        entries = rel.entries
+        witnesses = {(a, b): m for a, b, m in entries}
+        assert set(witnesses) == set(expected)
         for (a, b), m in expected.items():
-            assert rel.witnesses(a, b) == m
-        assert list(rel) == sorted((a, b, m) for (a, b), m in expected.items())
-        assert len(rel) == len(expected)
+            assert witnesses[a, b] == m
+        assert [(a, b, frozenset(w)) for a, b, w in rel.sorted_entries()] == sorted(
+            (a, b, m) for (a, b), m in expected.items()
+        )
+        assert len(entries) == len(expected)
 
 
 def test_closure_keeps_no_witness_table():
@@ -94,11 +99,11 @@ def test_closure_keeps_no_witness_table():
     g = CausalGraph(frozenset(nodes), frozenset(edges))
     tracemalloc.start()
     try:
-        count = sum(1 for _ in mediate_closure(g))
+        count = sum(1 for _ in mediate_closure(g).sorted_entries())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(edges) == 590 and count == len(mediate_closure(g))
+    assert len(edges) == 590 and count == sum(len(descendants(g, v)) for v in g.nodes)
     assert peak < 16 * 2**20
 
 
@@ -134,10 +139,45 @@ def test_closure_report_keeps_no_witness_table(tmp_path):
 def test_sorted_entries_list_each_witness_set_in_name_order():
     rng = random.Random(20261018)
     for _ in range(250):
-        rel = mediate_closure(relabelled_dag(rng))
-        assert list(rel.sorted_entries()) == [
-            (a, b, sorted(rel.witnesses(a, b))) for a, b, _ in rel
+        g = relabelled_dag(rng)
+        expected = brute_force_closure(g)
+        assert list(mediate_closure(g).sorted_entries()) == [
+            (a, b, sorted(expected[a, b])) for a, b in sorted(expected)
         ]
+
+
+def _broom(rng):
+    return [("s", f"m{i}") for i in range(30)]
+
+
+def _chains(rng):
+    return [e for i in range(15) for e in (("s", f"m{i}"), (f"m{i}", f"t{i}"))]
+
+
+def _band(rng):
+    # the ROADMAP generator at n=12: vi -> vj for j in i+1..i+5 at probability 0.6
+    return [(f"v{i}", f"v{j}") for i in range(12) for j in range(i + 1, min(12, i + 6))
+            if rng.random() < 0.6]
+
+
+@pytest.mark.parametrize("shape", [_broom, _chains, _band])
+def test_sparse_shapes_read_as_brute_force_in_name_order(capsys, tmp_path, shape):
+    rng = random.Random(20261020)
+    path = tmp_path / "g.graph"
+    for _ in range(3):
+        # nodes renamed at random, so name order says nothing of the shape
+        edges = shape(rng)
+        old = sorted({v for e in edges for v in e})
+        names = (f"{rng.choice('aBz_')}{k}" for k in rng.sample(range(10**4), len(old)))
+        new = dict(zip(old, names))
+        g = CausalGraph(frozenset(new.values()), frozenset((new[s], new[d]) for s, d in edges))
+        expected = brute_force_closure(g)
+        want = [(a, b, sorted(expected[a, b])) for a, b in sorted(expected)]
+        assert list(mediate_closure(g).sorted_entries()) == want
+        path.write_text(graph_text(g))
+        assert main(["closure", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == "".join(f"{a} -> {b} via {{{', '.join(w)}}}\n" for a, b, w in want)
 
 
 def test_descendant_properties_randomized():
@@ -152,4 +192,4 @@ def test_descendant_properties_randomized():
             gi = intervene_graph(g, a)
             assert descendants(gi, a) <= d
             rel = mediate_closure(gi)
-            assert not any(dst == a and src != a for src, dst, _ in rel)
+            assert not any(dst == a and src != a for src, dst, _ in rel.sorted_entries())

@@ -239,6 +239,17 @@ HEADER = "graph { A -> B; }\nfactual { A = x; }\n"
             "A = x |- T = y @ 0.5\n# end",
             "2:6: expected ';', found end of input",
         ),
+        (
+            parse_case,
+            HEADER + "intervene A = z;\ntarget B = y;\njunk;",
+            "5:1: expected end of case file, found 'junk'",
+        ),
+        (
+            parse_case,
+            HEADER + "intervene A = z;\ntarget B = y;\nfactual_prob abc;",
+            "5:14: expected a decimal probability, found 'abc'",
+        ),
+        (parse_judgment, "A = x |- B = y @ 3/2", "1:18: expected a probability in [0, 1], found 3/2"),
     ],
 )
 def test_each_production_reports_what_it_expected(parse, text, message):
@@ -287,6 +298,14 @@ def test_judgment_round_trip_example():
     j = parse_judgment(text)
     assert render_judgment(j) == text
     assert parse_judgment(render_judgment(j)) == j
+
+
+def test_intervention_expression_lists_each_edgeless_variable_once():
+    # C has no edge, and is both attributed and intervened on
+    text = "[A -> B, C = x] I(C=z)"
+    item = parse_context_item(text)
+    assert item.expr.graph.nodes == {"A", "B", "C"}
+    assert render_context_item(item) == text
 
 
 def test_empty_context_judgment_round_trip():

@@ -26,6 +26,7 @@ from cfcheck import (
     check_proof,
     derive_counterfactual,
 )
+from cfcheck.kernel import apply_step
 from spec import generic_cut, intervention_axiom
 
 
@@ -215,6 +216,60 @@ def test_cut_commutativity(weakened):
     a = apply_v_cut(apply_tri_cut(weakened, ("Degree", "GAI")), Attribution("SAT", Atom("1100")))
     b = apply_tri_cut(apply_v_cut(weakened, Attribution("SAT", Atom("1100"))), ("Degree", "GAI"))
     assert a == b
+
+
+_SAT = Attribution("SAT", Atom("1100"))
+_MS_MAR = Attribution("MS", Atom("mar"))
+
+
+@pytest.mark.parametrize(
+    "apply, code, reason",
+    [
+        (lambda c, w, e: apply_i_cut(c), "no-intervention",
+         "context carries no intervention expression"),
+        (lambda c, w, e: apply_c_weakening(w, e), "intervention-present",
+         "context already carries an intervention expression"),
+        (lambda c, w, e: apply_i_cut(Judgment((InterventionItem(e), AttrItem(_MS_MAR)), "Loan",
+                                              Atom("yes"), Fraction(3, 5))),
+         "imposed-attribution-missing",
+         "no loose attribution MS=div in context (found MS with value Atom(token='mar'))"),
+        (lambda c, w, e: apply_tri_cut(w, ("Gender", "MS")), "edge-enters-intervention",
+         "edge Gender -> MS enters the intervention variable"),
+        (lambda c, w, e: apply_tri_cut(w, ("SAT", "Loan")), "edge-not-in-factual-graph",
+         "edge SAT -> Loan is not in the factual graph"),
+        (lambda c, w, e: apply_tri_cut(apply_tri_cut(w, ("Degree", "GAI")), ("Degree", "GAI")),
+         "edge-not-in-context", "edge Degree -> GAI not in context"),
+        (lambda c, w, e: apply_v_cut(w, Attribution("SAT", Atom("900"))),
+         "attribution-not-factual", "SAT with this value is not in the factual data point"),
+        (lambda c, w, e: apply_v_cut(w, Attribution("GAI", Atom("65K"))),
+         "descendant-of-intervention", "GAI is an effect of MS in the factual graph"),
+        (lambda c, w, e: apply_v_cut(apply_v_cut(w, _SAT), _SAT),
+         "attribution-not-in-context", "SAT not loose in context"),
+        (lambda c, w, e: apply_step(RuleId.WEAKENING, c, EdgeItem("Gender", "MS")), "bad-item",
+         "weakening needs an intervention item"),
+        (lambda c, w, e: apply_step(RuleId.INTERVENTION_CUT, w, AttrItem(_SAT)), "bad-item",
+         "intervention cut needs the imposed attribution as item"),
+        (lambda c, w, e: apply_step(RuleId.EDGE_CUT, w, AttrItem(_SAT)), "bad-item",
+         "edge cut needs an edge item"),
+        (lambda c, w, e: apply_step(RuleId.VALUE_CUT, w, EdgeItem("Degree", "GAI")), "bad-item",
+         "value cut needs an attribution item"),
+    ],
+    ids=[
+        "no-intervention", "intervention-present", "imposed-attribution-missing",
+        "edge-enters-intervention", "edge-not-in-factual-graph", "edge-not-in-context",
+        "attribution-not-factual", "descendant-of-intervention", "attribution-not-in-context",
+        "bad-item-weakening", "bad-item-intervention-cut", "bad-item-edge-cut",
+        "bad-item-value-cut",
+    ],
+)
+def test_each_rule_error_states_its_reason(candidate, weakened, loan_expr, apply, code, reason):
+    with pytest.raises(RuleError) as exc:
+        apply(candidate, weakened, loan_expr)
+    assert (exc.value.code, str(exc.value)) == (code, reason)
+
+
+def test_a_proof_without_steps_concludes_its_last_assumption(candidate):
+    assert Proof((candidate,), ()).conclusion() is candidate
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from cfcheck import (
     Atom,
     AttrItem,
     Attribution,
+    Case,
     CausalGraph,
     Complement,
     DataPoint,
@@ -19,7 +21,9 @@ from cfcheck import (
     InterventionItem,
     InvalidModel,
     Judgment,
+    Proof,
     Sum,
+    cf_verdict,
     variables_of,
 )
 from cfcheck.model import check_probability, check_token
@@ -176,3 +180,99 @@ def test_judgment_holds_at_most_one_intervention_expression():
     for items in ((e, e), (e, f)):
         with pytest.raises(InvalidModel, match="at most one intervention"):
             Judgment(tuple(map(InterventionItem, items)), "B", Atom("y"), Fraction(1))
+
+
+_AB = CausalGraph({"A", "B"}, {("A", "B")})
+_J = Judgment((), "T", Atom("x"), Fraction(1, 2))
+_FLOAT = "probabilities must be exact rationals, not floats"
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        pytest.param(
+            lambda: Judgment((), "T", Atom("x"), Fraction(3, 2)),
+            InvalidModel("probability out of range: 3/2"),
+            id="judgment-prob",
+        ),
+        pytest.param(
+            lambda: Judgment((), "T-1", Atom("x"), Fraction(1)),
+            InvalidModel("invalid token: 'T-1'"),
+            id="judgment-target",
+        ),
+        pytest.param(
+            lambda: EdgeItem("A", "B-1"), InvalidModel("invalid token: 'B-1'"), id="edge-dst"
+        ),
+        pytest.param(
+            lambda: EdgeItem("B-1", "A"), InvalidModel("invalid token: 'B-1'"), id="edge-src"
+        ),
+        pytest.param(lambda: Atom("x-1"), InvalidModel("invalid token: 'x-1'"), id="atom"),
+        pytest.param(
+            lambda: Attribution("A-1", Atom("x")),
+            InvalidModel("invalid token: 'A-1'"),
+            id="attribution-var",
+        ),
+        pytest.param(
+            lambda: Intervention("A-1", Atom("x")),
+            InvalidModel("invalid token: 'A-1'"),
+            id="intervention-var",
+        ),
+        pytest.param(
+            lambda: Case(_AB, DataPoint(()), Intervention("A", Atom("z")), "B", Atom("y"),
+                         factual_prob=Fraction(3, 2)),
+            InvalidModel("probability out of range: 3/2"),
+            id="case-prob",
+        ),
+        pytest.param(
+            lambda: Case(_AB, DataPoint(()), Intervention("A", Atom("z")), "B", Atom("y"),
+                         factual_prob=0.5),
+            InvalidModel(_FLOAT),
+            id="case-float",
+        ),
+        pytest.param(
+            lambda: cf_verdict(0.5, Fraction(1, 2), Fraction(0), _J, Proof((_J,), ())),
+            InvalidModel(_FLOAT),
+            id="verdict-p",
+        ),
+        pytest.param(
+            lambda: cf_verdict(Fraction(1, 2), 0.5, Fraction(0), _J, Proof((_J,), ())),
+            InvalidModel(_FLOAT),
+            id="verdict-q",
+        ),
+        pytest.param(lambda: check_probability(1), Fraction(1), id="probability-int"),
+        pytest.param(
+            lambda: Sum([Atom("a"), Atom("b")]), Sum((Atom("a"), Atom("b"))), id="sum-list"
+        ),
+        pytest.param(
+            lambda: DataPoint([Attribution("A", Atom("x"))]),
+            DataPoint((Attribution("A", Atom("x")),)),
+            id="datapoint-list",
+        ),
+        pytest.param(
+            lambda: CausalGraph({"A", "B"}, [["A", "B"]]),
+            CausalGraph(frozenset({"A", "B"}), frozenset({("A", "B")})),
+            id="graph-sets-and-lists",
+        ),
+        pytest.param(
+            lambda: Judgment([EdgeItem("A", "B")], "T", Atom("x"), 1),
+            Judgment((EdgeItem("A", "B"),), "T", Atom("x"), Fraction(1)),
+            id="judgment-list",
+        ),
+        pytest.param(lambda: Proof([_J], []), Proof((_J,), ()), id="proof-lists"),
+    ],
+)
+def test_constructors_check_and_normalise_their_inputs(build, expected):
+    # an invalid input raises the expected error with its message; a valid
+    # one built from lists, sets or an int equals and hashes like the value
+    # built from tuples, frozensets and a Fraction, field type by field type
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc:
+            build()
+        assert str(exc.value) == str(expected)
+        return
+    got = build()
+    assert got == expected and hash(got) == hash(expected) and type(got) is type(expected)
+    if dataclasses.is_dataclass(expected):
+        assert [type(getattr(got, f.name)) for f in dataclasses.fields(got)] == [
+            type(getattr(expected, f.name)) for f in dataclasses.fields(expected)
+        ]

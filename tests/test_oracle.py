@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+import shlex
 import sys
 import textwrap
 import timeit
@@ -25,6 +26,7 @@ from cfcheck import (
     Sum,
     UndefinedProbability,
 )
+from cfcheck.cli import main
 from cfcheck.dsl import parse_judgment_db
 from conftest import brute_force_frequency
 from spec import value_matches
@@ -224,6 +226,11 @@ def test_csv_matches_row_scan(table):
             "CSV line 3: field larger than field limit (131072)",
             id="cell-over-field-limit",
         ),
+        ("", "empty CSV: missing header"),
+        ("A,A\nx,y\n", "invalid CSV header: ['A', 'A']"),
+        ("A,\nx,y\n", "invalid CSV header: ['A', '']"),
+        ("A,B\nx,y\nx,y,z\n", "CSV line 3: expected 2 cells, got 3"),
+        ("A,B\nx,y\nx\n", "CSV line 3: expected 2 cells, got 1"),
     ],
 )
 def test_csv_reports_first_faulty_line(text, message):
@@ -353,6 +360,33 @@ def test_external_command_malformed_response(tmp_path):
     argv = _stub(tmp_path, 'print("not json")')
     with pytest.raises(OracleError, match="malformed"):
         ExternalCommandOracle(argv).query(query([]))
+
+
+@pytest.mark.parametrize(
+    "spec, code, err",
+    [
+        pytest.param(lambda tmp: "csv", 3,
+                     "bad oracle spec: 'csv' (want csv:PATH, db:PATH or cmd:COMMAND)\n", id="csv"),
+        pytest.param(lambda tmp: "cmd: ", 3,
+                     "cannot load oracle 'cmd: ': oracle error: empty oracle command\n",
+                     id="cmd-blank"),
+        pytest.param(lambda tmp: "cmd:" + shlex.join(_stub(tmp, "")), 4,  # exits 0, prints nothing
+                     "{case}: oracle error: oracle command produced no response\n", id="silent"),
+        pytest.param(lambda tmp: "cmd:" + shlex.quote(str(tmp / "missing")), 4,
+                     "{case}: oracle error: oracle command failed: "
+                     "[Errno 2] No such file or directory: '{tmp}/missing'\n", id="missing"),
+    ],
+)
+def test_oracle_spec_errors_reach_the_command_line(capsys, data_dir, tmp_path, spec, code, err):
+    case = str(data_dir / "loan.cfc")
+    assert main(["check", case, "--oracle", spec(tmp_path)]) == code
+    assert capsys.readouterr() == ("", err.format(case=case, tmp=tmp_path))
+
+
+def test_a_query_may_not_attribute_its_target():
+    with pytest.raises(OracleError) as exc:
+        query([("Loan", Atom("yes"))])
+    assert str(exc.value) == "target Loan occurs among the query attributions"
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-5"])
