@@ -37,6 +37,7 @@ from .model import (
     TOKEN_PATTERN,
     ValueTerm,
     check_probability,
+    render_valueterm,
     variables_of,
 )
 
@@ -153,11 +154,10 @@ class _Parser:
             self.error(expected or f"'{kind}'")
         return self.advance()
 
-    def keyword(self, name: str) -> Token:
+    def keyword(self, name: str) -> None:
         tok = self.expect("word", f"'{name}'")
         if tok[1] != name:
             self.error(f"'{name}'", tok)
-        return tok
 
     # -- value terms ------------------------------------------------------
 
@@ -199,7 +199,7 @@ class _Parser:
                 num = self.numeral(tok, tok[1])
                 return check_probability(Fraction(num, self.numeral(den, den[1])))
             except (ZeroDivisionError, InvalidModel):
-                self.error("a probability in [0, 1]", tok, f"{tok[1]}/{den[1]}")
+                self.error("a probability in [0, 1]", tok, repr(f"{tok[1]}/{den[1]}"))
         return self.decimal(tok)
 
     def decimal(self, tok: Token) -> Fraction:
@@ -394,22 +394,6 @@ def parse_judgment_db(text: str) -> list[Judgment]:
 # Rendering.
 
 
-def render_valueterm(t: ValueTerm) -> str:
-    if isinstance(t, Atom):
-        return t.token
-    if isinstance(t, Sum):
-        return " + ".join(
-            f"({render_valueterm(m)})" if isinstance(m, Sum) else render_valueterm(m)
-            for m in t.members
-        )
-    if isinstance(t, Complement):
-        inner = render_valueterm(t.inner)
-        if isinstance(t.inner, Sum):
-            inner = f"({inner})"
-        return "!" + inner
-    raise TypeError(f"not a value term: {t!r}")
-
-
 def render_attribution(a: Attribution) -> str:
     return f"{a.var} = {render_valueterm(a.value)}"
 
@@ -454,14 +438,14 @@ def render_judgment(j: Judgment) -> str:
 
 
 def proof_to_dict(p: Proof) -> dict:
-    """Only the last step records its conclusion, the judgment the proof
-    certifies; replay derives every other step's."""
+    """Each step writes the conclusion it records and no other. A derived
+    proof records only its last, the judgment the proof certifies; replay
+    derives every other step's."""
     steps = [
         {"rule": s.rule.value, "item": s.item and render_context_item(s.item), "premise": s.premise}
+        | ({} if s.conclusion is None else {"conclusion": render_judgment(s.conclusion)})
         for s in p.steps
     ]
-    if steps:
-        steps[-1]["conclusion"] = render_judgment(p.steps[-1].conclusion)
     return {"assumptions": [render_judgment(a) for a in p.assumptions], "steps": steps}
 
 

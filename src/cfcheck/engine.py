@@ -5,7 +5,7 @@ replayable proof, and renders the fairness verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -108,7 +108,8 @@ def verify_candidate(case: Case, candidate: Judgment) -> Union[Proof, CandidateF
     case's intervention expression, then erases exhaustively: the imposed
     attribution first, then edges in lexicographic order, then remaining
     attributions in stored order. Succeeds iff only the intervention
-    expression remains.
+    expression remains; the proof's last step records that judgment, the one
+    it certifies, and no other step records one.
     """
     if candidate.intervention_item() is not None:
         raise InvalidModel("candidate must not carry an intervention expression")
@@ -131,10 +132,11 @@ def verify_candidate(case: Case, candidate: Judgment) -> Union[Proof, CandidateF
         except RuleError as e:
             failures.append((item, e.code, str(e)))
         else:
-            steps.append(ProofStep(rule, item, len(steps), j))
+            steps.append(ProofStep(rule, item, len(steps), None))
 
     if failures:
         return CandidateFailure(tuple(failures))
+    steps[-1] = replace(steps[-1], conclusion=j)
     return Proof((candidate,), tuple(steps))
 
 

@@ -20,6 +20,7 @@ from .model import (
     InterventionExpr,
     InterventionItem,
     Judgment,
+    render_valueterm,
 )
 
 
@@ -69,7 +70,7 @@ def apply_i_cut(j: Judgment) -> Judgment:
             for a in j.attr_items()
             if a.attribution.var == iv.var
         ]
-        detail = f" (found {iv.var} with value {others[0]})" if others else ""
+        detail = f" (found {iv.var} with value {render_valueterm(others[0])})" if others else ""
         raise RuleError(
             "imposed-attribution-missing",
             f"no loose attribution {iv.var}={iv.value.token} in context{detail}",

@@ -86,6 +86,23 @@ class Complement:
 ValueTerm = Union[Atom, Sum, Complement]
 
 
+def render_valueterm(t: ValueTerm) -> str:
+    """A value term in the DSL's syntax."""
+    if isinstance(t, Atom):
+        return t.token
+    if isinstance(t, Sum):
+        return " + ".join(
+            f"({render_valueterm(m)})" if isinstance(m, Sum) else render_valueterm(m)
+            for m in t.members
+        )
+    if isinstance(t, Complement):
+        inner = render_valueterm(t.inner)
+        if isinstance(t.inner, Sum):
+            inner = f"({inner})"
+        return "!" + inner
+    raise TypeError(f"not a value term: {t!r}")
+
+
 # ---------------------------------------------------------------------------
 # Attributions and data points.
 
@@ -316,6 +333,9 @@ class Judgment:
 
     Contexts are stored as tuples for reproducible rendering, but equality
     is multiset equality: two judgments with permuted contexts are equal.
+    Equality reads both contexts and takes no shortcut; a derived proof
+    records only its certified conclusion, so replaying it compares one
+    judgment.
 
     A judgment made by `erase` shares its premise's items and keeps which of
     them are left as a bitmask, so a chain of cuts costs no O(E) copy per
@@ -387,22 +407,10 @@ class Judgment:
         return [i for i in self.context if isinstance(i, AttrItem)]
 
     def __eq__(self, other):
-        """Judgments erased from equal items compare their bitmasks; others
-        compare contexts in stored order, then as multisets.
-
-        Equal but distinct item tuples are found equal once: `self` then
-        takes `other`'s tuple, and its later erasures share it, so replaying
-        a proof against its recorded conclusions compares each by identity."""
         if not isinstance(other, Judgment):
             return NotImplemented
         if (self.target, self.value, self.prob) != (other.target, other.value, other.prob):
             return False
-        if self._alive == other._alive:
-            if self._items is other._items:
-                return True
-            if self._items == other._items:
-                self.__dict__["_items"] = other._items
-                return True
         return self.context == other.context or Counter(self.context) == Counter(other.context)
 
     def __hash__(self):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol
 
-from .dsl import ParseError, parse_probability_literal, render_valueterm
+from .dsl import ParseError, parse_probability_literal
 from .model import (
     Atom,
     DataPoint,
@@ -27,7 +27,7 @@ from .model import (
     Judgment,
     ValueTerm,
     Sum,
-    check_probability,
+    render_valueterm,
     variables_of,
 )
 
@@ -259,6 +259,6 @@ class ExternalCommandOracle:
         except (ValueError, KeyError, TypeError, RecursionError) as e:
             raise OracleError(f"malformed oracle response: {e}")
         try:
-            return check_probability(parse_probability_literal(str(raw)))
-        except (ParseError, ValueError) as e:
+            return parse_probability_literal(str(raw))
+        except ParseError as e:
             raise OracleError(f"bad probability in oracle response: {e}")

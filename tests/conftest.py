@@ -18,6 +18,7 @@ from cfcheck import (
     variables_of,
 )
 from cfcheck.engine import Case
+from cfcheck.kernel import Proof, apply_step
 from spec import value_matches
 
 DATA = Path(__file__).parent / "data"
@@ -111,6 +112,15 @@ def graph_text(g: CausalGraph) -> str:
     return "graph {\n" + "".join(f"  {v};\n" for v in sorted(g.nodes)) + "".join(
         f"  {s} -> {d};\n" for s, d in sorted(g.edges)
     ) + "}\n"
+
+
+def replayed_conclusions(proof: Proof) -> list:
+    """Each step's judgment, derived by replaying the proof's steps through
+    `kernel.apply_step`: a derived proof records only its last."""
+    derived = list(proof.assumptions)
+    for step in proof.steps:
+        derived.append(apply_step(step.rule, derived[step.premise], step.item))
+    return derived[len(proof.assumptions) :]
 
 
 def brute_force_closure(g: CausalGraph) -> dict[tuple[str, str], frozenset[str]]:

@@ -35,7 +35,7 @@ from cfcheck.cli import main
 from cfcheck.dsl import parse_judgment, render_judgment, ParseError
 from cfcheck.oracle import OracleQuery, DataPoint
 
-from conftest import brute_force_closure, random_dag
+from conftest import brute_force_closure, random_dag, replayed_conclusions
 from spec import generic_cut, intervention_axiom, value_matches
 from test_kernel import judgments_with_intervention
 from test_dsl import random_judgment
@@ -204,8 +204,9 @@ def test_criterion_6_proof_mutation_rejection(data_dir):
                     "descendant-of-intervention",
                 )
             )
+    conclusions = replayed_conclusions(proof)
     for i in (3, 6, 9, 12, 13):
-        old = proof.steps[i].conclusion
+        old = conclusions[i]
         forged = Judgment(old.context, old.target, old.value, Fraction(9, 10))
         mutations.append((mutate(i, conclusion=forged), i, "conclusion-mismatch"))
     for i in (2, 5, 8):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cfcheck import cli
 from cfcheck.cli import main
-from conftest import DATA, brute_force_closure, graph_text, relabelled_dag
+from conftest import DATA, brute_force_closure, graph_text, relabelled_dag, replayed_conclusions
 
 
 @pytest.fixture
@@ -520,8 +520,8 @@ def test_verify_proof_reads_proofs_recording_every_conclusion(
     case = parse_case((data_dir / "loan.cfc").read_text())
     oracle = JudgmentDbOracle(parse_judgment_db((data_dir / "loan.db").read_text()))
     _, proof = derive_counterfactual(case, oracle)
-    for raw, step in zip(loan_proof_doc["steps"], proof.steps):
-        raw["conclusion"] = render_judgment(step.conclusion)
+    for raw, conclusion in zip(loan_proof_doc["steps"], replayed_conclusions(proof)):
+        raw["conclusion"] = render_judgment(conclusion)
     proof_path = tmp_path / "full.proof.json"
     proof_path.write_text(json.dumps(loan_proof_doc))
     code, out, _ = run(capsys, "verify-proof", str(proof_path), loan_cfc)

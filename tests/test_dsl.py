@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfcheck import (
     Atom,
@@ -37,7 +39,7 @@ from cfcheck import dsl
 from cfcheck.engine import Case, derive_counterfactual, known_contexts
 from cfcheck.kernel import Proof, ProofStep, RuleId, check_proof
 from cfcheck.oracle import JudgmentDbOracle
-from conftest import DATA, graph_text
+from conftest import DATA, graph_text, random_dag, relabelled_dag, replayed_conclusions
 
 CASE_TEXT = """
 # comment lines are ignored
@@ -249,7 +251,7 @@ HEADER = "graph { A -> B; }\nfactual { A = x; }\n"
             HEADER + "intervene A = z;\ntarget B = y;\nfactual_prob abc;",
             "5:14: expected a decimal probability, found 'abc'",
         ),
-        (parse_judgment, "A = x |- B = y @ 3/2", "1:18: expected a probability in [0, 1], found 3/2"),
+        (parse_judgment, "A = x |- B = y @ 3/2", "1:18: expected a probability in [0, 1], found '3/2'"),
     ],
 )
 def test_each_production_reports_what_it_expected(parse, text, message):
@@ -505,6 +507,31 @@ def test_a_proof_read_against_its_case_equals_the_proof_read_alone(n):
     assert seeded == parse_proof(text) and render_proof(seeded) == text
     # the seeded items are the case's own objects, so replay finds their blocked set cached
     assert seeded.steps[0].item.expr is case.intervention_expr()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_proof_reads_back_as_itself_whichever_conclusions_it_records(seed):
+    # a derived proof records only its certified conclusion, in memory as in
+    # its file; one that records every conclusion writes and reads each back
+    rng = random.Random(seed)
+    g = CausalGraph(frozenset(), frozenset())
+    while len(g.nodes) < 2:
+        g = random_dag(rng) if seed % 2 else relabelled_dag(rng)
+    target = rng.choice(sorted(g.nodes))
+    others = sorted(g.nodes - {target})
+    factual = DataPoint(
+        tuple(Attribution(v, Atom(rng.choice("xyz"))) for v in others if rng.random() < 0.7)
+    )
+    case = Case(g, factual, Intervention(rng.choice(others), Atom("w")), target, Atom("yes"))
+    proof = derive_counterfactual(case, _HalfOracle())[1]
+    assert all(s.conclusion is None for s in proof.steps[:-1])
+    steps = zip(proof.steps, replayed_conclusions(proof))
+    full = Proof(proof.assumptions, tuple(dataclasses.replace(s, conclusion=c) for s, c in steps))
+    for p in (proof, full):
+        text = render_proof(p)
+        assert parse_proof(text) == p
+        assert parse_proof(text, known_contexts(case)) == p
 
 
 def test_an_empty_known_context_lets_no_text_bring_a_context_of_its_own():

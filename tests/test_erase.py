@@ -27,9 +27,9 @@ from cfcheck import (
     derive_counterfactual,
 )
 from cfcheck import kernel
-from cfcheck.dsl import render_judgment
+from cfcheck.dsl import parse_proof, render_judgment, render_proof
 from cfcheck.engine import Case, candidate_judgment, reduced_point, verify_candidate
-from conftest import random_dag
+from conftest import random_dag, replayed_conclusions
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -120,10 +120,14 @@ def test_check_proof_agrees_on_erased_and_constructed_conclusions(seed):
     candidate = Judgment(tuple(context), honest.target, honest.value, honest.prob)
     proof = verify_candidate(case, candidate)
     assert isinstance(proof, Proof)
-    rebuilt = Proof(
-        proof.assumptions,
-        tuple(dataclasses.replace(s, conclusion=_rebuilt(s.conclusion)) for s in proof.steps),
-    )
+    # every conclusion recorded: as the cut rules erase them, and rebuilt
+    conclusions = replayed_conclusions(proof)
+
+    def recording(conclusions):
+        steps = (dataclasses.replace(s, conclusion=c) for s, c in zip(proof.steps, conclusions))
+        return Proof(proof.assumptions, tuple(steps))
+
+    proof, rebuilt = recording(conclusions), recording(map(_rebuilt, conclusions))
     assert check_proof(proof) == check_proof(rebuilt) == ProofCheck(True)
 
     # the certified conclusion forged to another expression of the same size
@@ -206,3 +210,24 @@ def test_derive_and_replay_compute_each_blocked_set_once_and_validate_no_cut(mon
     assert blocked_sets == [case.intervention.var]
     assert cuts[0] == 2 * (len(proof.steps) - len(weakenings)) > 1000
     assert validated_in_cut[0] == 0
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_replaying_a_derived_proof_compares_one_judgment(monkeypatch, n):
+    # a derived proof records only the judgment it certifies, in memory as in
+    # its file, so replay compares that one and derives every other step's
+    calls = [0]
+    eq = Judgment.__eq__
+
+    def counting_eq(self, other):
+        calls[0] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(Judgment, "__eq__", counting_eq)
+    _, proof = derive_counterfactual(roadmap_case(n), ConstOracle())
+    parsed = parse_proof(render_proof(proof))
+    assert len(proof.steps) > n
+    for p in (proof, parsed):
+        calls[0] = 0
+        assert check_proof(p).ok
+        assert calls[0] == 1

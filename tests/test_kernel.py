@@ -232,7 +232,7 @@ _MS_MAR = Attribution("MS", Atom("mar"))
         (lambda c, w, e: apply_i_cut(Judgment((InterventionItem(e), AttrItem(_MS_MAR)), "Loan",
                                               Atom("yes"), Fraction(3, 5))),
          "imposed-attribution-missing",
-         "no loose attribution MS=div in context (found MS with value Atom(token='mar'))"),
+         "no loose attribution MS=div in context (found MS with value mar)"),
         (lambda c, w, e: apply_tri_cut(w, ("Gender", "MS")), "edge-enters-intervention",
          "edge Gender -> MS enters the intervention variable"),
         (lambda c, w, e: apply_tri_cut(w, ("SAT", "Loan")), "edge-not-in-factual-graph",
